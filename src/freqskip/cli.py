@@ -27,18 +27,19 @@ from .corpus import blob_corpus, default_corpus, default_ids, family_a, family_b
 from .decision import FeatureVector, ModelFormatError, TrainedModel, load_model, predict, save_model, split_train_val
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
-from .image import ImageFormatError, load_image, resize_area, resize_bilinear, save_image, to_grayscale
-from .labeling import LabeledSample, label_sample, write_features_csv, write_labels_csv, read_feature_csv
-from .metrics import HfMaskParams, SsimParams, ssim
-from .pipeline import EvalResult, PipelineConfig, RunReport, run_accelerated, train_from_samples
-from .strategies import Strategy, apply_strategy, parse_strategy
+from .image import ImageFormatError, load_image, save_image
+from .labeling import LabeledSample, is_sensitive, label_sample, write_features_csv, write_labels_csv, read_feature_csv
+from .metrics import HfMaskParams, SsimParams
+from .pipeline import _TRAINERS, EvalResult, PipelineConfig, RunReport, run_accelerated, train_from_samples
+from .strategies import parse_strategy
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent run configuration."""
 
 
-_CORPUS_KINDS = ("default", "blob", "family_a", "family_b")
+_CORPUS_KINDS = {"default": default_corpus, "blob": blob_corpus, "family_a": family_a, "family_b": family_b}
+_MODEL_KINDS = tuple(_TRAINERS)
 
 
 @dataclass
@@ -119,14 +120,14 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         if self.corpus_kind not in _CORPUS_KINDS:
-            raise ConfigError(f"corpus_kind must be one of {_CORPUS_KINDS}, got {self.corpus_kind!r}")
+            raise ConfigError(f"corpus_kind must be one of {tuple(_CORPUS_KINDS)}, got {self.corpus_kind!r}")
         if self.corpus_size < 1:
             raise ConfigError(f"corpus_size must be >= 1, got {self.corpus_size}")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if not 0.0 <= self.tau_sensitivity <= 1.0:
             raise ConfigError(f"tau_sensitivity must be in [0, 1], got {self.tau_sensitivity}")
-        if self.model_kind not in ("logreg", "tree", "forest", "two_stage"):
+        if self.model_kind not in _MODEL_KINDS:
             raise ConfigError(f"unknown model_kind {self.model_kind!r}")
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
@@ -161,13 +162,7 @@ class RunConfig:
         return pcfg
 
     def corpus_specs(self) -> list[TargetSpec]:
-        maker = {
-            "default": default_corpus,
-            "blob": blob_corpus,
-            "family_a": family_a,
-            "family_b": family_b,
-        }[self.corpus_kind]
-        return maker(self.corpus_size, self.seed)
+        return _CORPUS_KINDS[self.corpus_kind](self.corpus_size, self.seed)
 
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -280,7 +275,7 @@ def cmd_label(cfg: RunConfig, corpus_dir: str, out_dir: str, jobs: int) -> int:
 
 def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, kind: str | None, out_dir: str) -> int:
     kind = kind or cfg.model_kind
-    if kind not in ("logreg", "tree", "forest", "two_stage"):
+    if kind not in _MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     feat_ids, x, _ = read_feature_csv(features_path)
     label_ids, _, labels = read_feature_csv(labels_path)
@@ -315,22 +310,10 @@ def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, kind: str | 
 # run
 # --------------------------------------------------------------------------
 
-def _load_target(path: str, size: int) -> np.ndarray:
-    img = load_image(path)
-    if img.ndim == 3:
-        img = to_grayscale(img)
-    if img.shape != (size, size):
-        if img.shape[0] >= size and img.shape[1] >= size:
-            img = resize_area(img, size, size)
-        else:
-            img = resize_bilinear(img, size, size)
-    return img
-
-
 def cmd_run(cfg: RunConfig, model_path: str, target_path: str, out_dir: str, force: str | None) -> int:
     tcfg = cfg.trace_config()
     pcfg = cfg.pipeline_config()
-    target = _load_target(target_path, tcfg.full_size)
+    target = synth_target(TargetSpec(path=target_path), tcfg.full_size)
     model = None if force is not None else load_model(model_path)
     force_strategy = parse_strategy(force) if force is not None else None
     out, report = run_accelerated(target, tcfg, pcfg, model, force_strategy=force_strategy)
@@ -381,9 +364,7 @@ def cmd_evaluate(
     if split_sensitivity:
         sensitive, robust = [], []
         for sid, target in zip(ids, targets):
-            baseline, _ = apply_strategy(target, tcfg, Strategy.none())
-            probed, _ = apply_strategy(target, tcfg, Strategy.skip(3))
-            bucket = sensitive if ssim(baseline, probed, pcfg.ssim) < cfg.tau_sensitivity else robust
+            bucket = sensitive if is_sensitive(target, tcfg, cfg.tau_sensitivity, pcfg.ssim) else robust
             bucket.append(sid)
         for name, bucket in (("sensitive", sensitive), ("robust", robust)):
             with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="ascii", newline="\n") as fh:
@@ -409,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau", type=float, help="override labeling SSIM threshold")
     common.add_argument("--corpus-size", dest="corpus_size", type=int, help="override corpus size")
     common.add_argument("--corpus-kind", dest="corpus_kind", choices=_CORPUS_KINDS, help="recipe family")
-    common.add_argument("--model-kind", dest="model_kind", choices=("logreg", "tree", "forest", "two_stage"))
+    common.add_argument("--model-kind", dest="model_kind", choices=_MODEL_KINDS)
     common.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1, bit-stable)")
 
     parser = argparse.ArgumentParser(
@@ -428,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="fit a decision model from labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--kind", choices=("logreg", "tree", "forest", "two_stage"))
+    p.add_argument("--kind", choices=_MODEL_KINDS)
     p.add_argument("--out", "-o", required=True)
 
     p = sub.add_parser("run", parents=[common], help="accelerated generation for a single target image")

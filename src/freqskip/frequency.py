@@ -9,9 +9,9 @@ Two complementary measurements drive acceleration decisions:
   of normalized radius rho in the shifted spectrum; small values mean the
   image carries little fine detail to begin with.
 
-The forward transform is an unnormalized 2-D DFT: a radix-2 FFT along
-power-of-two axes and a direct matrix DFT otherwise.  Every reduction runs
-in a fixed order so repeated calls are bit-identical.
+The forward transform is numpy's unnormalized 2-D FFT (``np.fft.fft2``),
+which accepts any image size; on the same input it returns bit-identical
+coefficients from call to call.
 """
 
 from __future__ import annotations
@@ -90,48 +90,6 @@ def hf_diff(i_n: np.ndarray, i_prev: np.ndarray, analysis_size: int) -> float:
     return float(np.mean(np.abs(sobel_magnitude(a) - sobel_magnitude(b))))
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2_last_axis(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    out = a[..., _bit_reverse_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp((-2j * np.pi / size) * np.arange(half))
-        v = out.reshape(out.shape[:-1] + (n // size, size))
-        even = v[..., :half]
-        odd = v[..., half:] * tw
-        s = even + odd
-        d = even - odd
-        v[..., :half] = s
-        v[..., half:] = d
-        size *= 2
-    return out
-
-
-def _dft_direct_last_axis(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    k = np.arange(n)
-    w = np.exp((-2j * np.pi / n) * np.outer(k, k))
-    return np.einsum("kn,...n->...k", w, a.astype(np.complex128))
-
-
-def _transform_last_axis(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    if n >= 2 and (n & (n - 1)) == 0:
-        return _fft_pow2_last_axis(a)
-    return _dft_direct_last_axis(a)
-
-
 def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
     """Unnormalized forward 2-D DFT of a grayscale image.
 
@@ -140,10 +98,9 @@ def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
     """
     arr = require_gray(img)
     h, w = arr.shape
-    coeffs = _transform_last_axis(arr.astype(np.complex128))
-    coeffs = np.swapaxes(_transform_last_axis(np.swapaxes(coeffs, 0, 1)), 0, 1)
+    coeffs = np.fft.fft2(arr)
     if shifted:
-        coeffs = np.roll(coeffs, (h // 2, w // 2), axis=(0, 1))
+        coeffs = np.fft.fftshift(coeffs)
     return Spectrum(width=w, height=h, coeffs=coeffs, shifted=shifted)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import load_image, require_gray, resize_area, resize_bilinear, save_image, to_grayscale
+from .image import gaussian_filter, load_image, require_gray, resize_area, resize_bilinear, save_image, to_grayscale
 
 DEFAULT_SCHEDULE = (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256)
 LATE_STEPS = 3
@@ -182,28 +182,12 @@ def synth_target(spec: TargetSpec, size: int) -> np.ndarray:
             layer = rng.standard_normal((size, size))
             sigma = spec.noise_scale * (2.0**octave)
             if sigma > 0.0:
-                layer = _gaussian_blur(layer, sigma)
+                layer = gaussian_filter(layer, sigma, max(1, int(math.ceil(3.0 * sigma))))
             rms = float(np.sqrt(np.mean(layer * layer)))
             field = field + (spec.noise_persistence**octave / rms) * layer
         field_rms = float(np.sqrt(np.mean(field * field)))
         img = img + spec.noise_amp * field / field_rms
     return np.clip(img, 0.0, 1.0)
-
-
-def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
-    radius = max(1, int(math.ceil(3.0 * sigma)))
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    k = k / k.sum()
-    h, w = x.shape
-    p = np.pad(x, radius, mode="reflect")
-    horiz = k[0] * p[:, 0:w]
-    for i in range(1, k.size):
-        horiz = horiz + k[i] * p[:, i : i + w]
-    out = k[0] * horiz[0:h, :]
-    for i in range(1, k.size):
-        out = out + k[i] * horiz[i : i + h, :]
-    return out
 
 
 def _box3(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ All functions are pure; none mutate their inputs.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -50,43 +49,18 @@ def to_grayscale(color: np.ndarray) -> np.ndarray:
     return np.clip(gray, 0.0, 1.0)
 
 
-def _area_spans(n_in: int, n_out: int) -> list[tuple[int, np.ndarray]]:
-    """Per output cell: (first input index, normalized overlap weights).
+def _area_weights(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) matrix of normalized overlap weights.
 
-    Output cell j covers the source interval [j*s, (j+1)*s) with s = n_in/n_out;
-    weights are the exact overlap lengths of that interval with each unit
+    Row j covers the source interval [j*s, (j+1)*s) with s = n_in/n_out; its
+    entries are the exact overlap lengths of that interval with each unit
     source cell, normalized to sum to 1.
     """
     scale = n_in / n_out
-    spans = []
-    for j in range(n_out):
-        a = j * scale
-        b = (j + 1) * scale
-        lo = int(math.floor(a))
-        hi = min(int(math.ceil(b)), n_in)
-        w = np.array([min(b, t + 1.0) - max(a, float(t)) for t in range(lo, hi)], dtype=np.float64)
-        spans.append((lo, w / w.sum()))
-    return spans
-
-
-def _reduce_axis(arr: np.ndarray, spans: list[tuple[int, np.ndarray]], axis: int) -> np.ndarray:
-    # fixed left-to-right accumulation keeps results bit-reproducible
-    n_out = len(spans)
-    if axis == 1:
-        out = np.empty((arr.shape[0], n_out), dtype=np.float64)
-        for j, (lo, w) in enumerate(spans):
-            acc = w[0] * arr[:, lo]
-            for t in range(1, w.size):
-                acc = acc + w[t] * arr[:, lo + t]
-            out[:, j] = acc
-    else:
-        out = np.empty((n_out, arr.shape[1]), dtype=np.float64)
-        for j, (lo, w) in enumerate(spans):
-            acc = w[0] * arr[lo, :]
-            for t in range(1, w.size):
-                acc = acc + w[t] * arr[lo + t, :]
-            out[j, :] = acc
-    return out
+    j = np.arange(n_out, dtype=np.float64)[:, None]
+    t = np.arange(n_in, dtype=np.float64)[None, :]
+    w = np.maximum(np.minimum((j + 1.0) * scale, t + 1.0) - np.maximum(j * scale, t), 0.0)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -106,9 +80,9 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
         )
     if width == w_in and height == h_in:
         return arr.copy()
-    out = _reduce_axis(arr, _area_spans(w_in, width), axis=1)
-    out = _reduce_axis(out, _area_spans(h_in, height), axis=0)
-    return out
+    # rows then columns as two dense products; for a given shape BLAS sums
+    # each dot product in the same order, so repeated calls are bit-identical
+    return (_area_weights(h_in, height) @ arr) @ _area_weights(w_in, width).T
 
 
 def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -135,6 +109,27 @@ def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
     top = arr[np.ix_(y0, x0)] * (1.0 - fx) + arr[np.ix_(y0, x1)] * fx
     bot = arr[np.ix_(y1, x0)] * (1.0 - fx) + arr[np.ix_(y1, x1)] * fx
     return top * (1.0 - fy)[:, None] + bot * fy[:, None]
+
+
+def gaussian_filter(img: np.ndarray, sigma: float, radius: int) -> np.ndarray:
+    """Separable Gaussian smoothing on a reflect-padded copy; same shape out.
+
+    The 2*radius+1 taps are exp(-t^2 / (2 sigma^2)) for t in -radius..radius,
+    normalized to sum to 1.
+    """
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    k = k / k.sum()
+    h, w = img.shape
+    p = np.pad(img, radius, mode="reflect")
+    # fixed tap-by-tap accumulation keeps results bit-reproducible
+    horiz = k[0] * p[:, 0:w]
+    for i in range(1, k.size):
+        horiz = horiz + k[i] * p[:, i : i + w]
+    out = k[0] * horiz[0:h, :]
+    for i in range(1, k.size):
+        out = out + k[i] * horiz[i : i + h, :]
+    return out
 
 
 def _parse_pnm(data: bytes, path: str) -> np.ndarray:

@@ -16,11 +16,12 @@ import warnings
 
 import numpy as np
 
+from .corpus import default_ids
 from .decision import FeatureVector
 from .features import decision_features
 from .generator import TargetSpec, TraceConfig, synth_target
 from .metrics import SsimParams, ssim
-from .strategies import CostModel, Strategy, apply_strategy, ladder_order
+from .strategies import Strategy, apply_strategy, ladder_order
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -35,10 +36,6 @@ class LabeledSample:
     features: FeatureVector
     label: str
     ssims: dict[str, float]
-
-
-def default_ids(n: int) -> list[str]:
-    return [f"s{i:04d}" for i in range(n)]
 
 
 def _output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
@@ -79,8 +76,7 @@ def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) ->
 
 
 def ordered_ladder_ids(cfg: TraceConfig, pcfg: "PipelineConfig") -> list[str]:
-    cm = CostModel(weights=cfg.cost_weights, overhead=pcfg.overhead)
-    return [s.ident for s in ladder_order(cm, pcfg.ladder)]
+    return [s.ident for s in ladder_order(pcfg.cost_model(cfg), pcfg.ladder)]
 
 
 def label_sample(
@@ -160,6 +156,19 @@ def build_dataset(
     return samples
 
 
+def is_sensitive(
+    target: np.ndarray,
+    cfg: TraceConfig,
+    tau_s: float,
+    ssim_params: SsimParams,
+    probe: Strategy = Strategy.skip(3),
+) -> bool:
+    """True when the probe strategy drops SSIM against the baseline below tau_s."""
+    baseline, _ = apply_strategy(target, cfg, Strategy.none())
+    probed, _ = apply_strategy(target, cfg, probe)
+    return ssim(baseline, probed, ssim_params) < tau_s
+
+
 def sensitivity_split(
     specs: list[TargetSpec],
     cfg: TraceConfig,
@@ -182,10 +191,6 @@ def sensitivity_split(
     sensitive, robust = [], []
     for sid, spec in zip(ids, specs):
         target = synth_target(spec, size)
-        baseline, _ = apply_strategy(target, cfg, Strategy.none())
-        probed, _ = apply_strategy(target, cfg, probe)
-        if ssim(baseline, probed, ssim_params) < tau_s:
-            sensitive.append(sid)
-        else:
-            robust.append(sid)
+        bucket = sensitive if is_sensitive(target, cfg, tau_s, ssim_params, probe) else robust
+        bucket.append(sid)
     return sensitive, robust

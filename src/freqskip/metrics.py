@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import sobel_magnitude
-from .image import require_gray
+from .image import gaussian_filter, require_gray
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,6 @@ class HfMaskParams:
             raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
-    x = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
-def _filter_sep(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # separable correlation on a reflect-padded copy; fixed accumulation order
-    r = kernel.size // 2
-    h, w = img.shape
-    p = np.pad(img, r, mode="reflect")
-    horiz = kernel[0] * p[:, 0:w]
-    for t in range(1, kernel.size):
-        horiz = horiz + kernel[t] * p[:, t : t + w]
-    out = kernel[0] * horiz[0:h, :]
-    for t in range(1, kernel.size):
-        out = out + kernel[t] * horiz[t : t + h, :]
-    return out
-
-
 def _check_pair(a: np.ndarray, b: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     a = require_gray(a, "a")
     b = require_gray(b, "b")
@@ -82,12 +62,12 @@ def _check_pair(a: np.ndarray, b: np.ndarray, window: int) -> tuple[np.ndarray, 
 def ssim_map(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> np.ndarray:
     """Full-size per-pixel structural similarity map."""
     a, b = _check_pair(a, b, params.window)
-    kernel = _gaussian_kernel(params.window, params.sigma)
-    mu_a = _filter_sep(a, kernel)
-    mu_b = _filter_sep(b, kernel)
-    e_aa = _filter_sep(a * a, kernel)
-    e_bb = _filter_sep(b * b, kernel)
-    e_ab = _filter_sep(a * b, kernel)
+    sigma, radius = params.sigma, params.window // 2
+    mu_a = gaussian_filter(a, sigma, radius)
+    mu_b = gaussian_filter(b, sigma, radius)
+    e_aa = gaussian_filter(a * a, sigma, radius)
+    e_bb = gaussian_filter(b * b, sigma, radius)
+    e_ab = gaussian_filter(a * b, sigma, radius)
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

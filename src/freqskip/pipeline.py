@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import default_ids
 from .decision import FeatureVector, TrainedModel, predict, train_forest, train_logreg, train_tree, train_two_stage
 from .features import decision_features
 from .frequency import HFParams, hf_ratio
@@ -199,7 +200,7 @@ def evaluate(
     if not specs:
         raise ValueError("spec list must not be empty")
     if ids is None:
-        ids = [f"s{i:04d}" for i in range(len(specs))]
+        ids = default_ids(len(specs))
     size = cfg.full_size
     reports = []
     for spec in specs:

@@ -129,10 +129,6 @@ class CostModel:
         if self.overhead < 0.0:
             raise ValueError(f"overhead must be >= 0, got {self.overhead}")
 
-    @staticmethod
-    def from_trace_config(cfg: TraceConfig, overhead: float = 0.005) -> "CostModel":
-        return CostModel(weights=cfg.cost_weights, overhead=overhead)
-
     @property
     def steps(self) -> int:
         return len(self.weights)

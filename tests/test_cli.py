@@ -219,11 +219,31 @@ class TestEvaluateCommand:
 
 
 class TestJobsFlag:
-    def test_parallel_corpus_matches_serial(self, tmp_path):
+    def test_parallel_corpus_matches_serial(self, workspace, tmp_path):
+        # every pooled stage: corpus, label, and evaluate with the sensitivity split
+        model = str(workspace / "model" / "model.json")
         serial, parallel = tmp_path / "s", tmp_path / "p"
-        run_cli("corpus", "--corpus-size", "6", "-o", str(serial))
-        run_cli("corpus", "--corpus-size", "6", "--jobs", "2", "-o", str(parallel))
-        assert tree_digest(serial) == tree_digest(parallel)
+        for jobs, root in (("1", serial), ("2", parallel)):
+            corpus = str(root / "corpus")
+            assert run_cli("corpus", "--corpus-size", "6", "--jobs", jobs, "-o", corpus) == 0
+            assert run_cli("label", "--corpus", corpus, "--jobs", jobs, "-o", str(root / "labels")) == 0
+            assert (
+                run_cli(
+                    "evaluate",
+                    "--model",
+                    model,
+                    "--corpus",
+                    corpus,
+                    "--split-sensitivity",
+                    "--jobs",
+                    jobs,
+                    "-o",
+                    str(root / "eval"),
+                )
+                == 0
+            )
+        for stage in ("corpus", "labels", "eval"):
+            assert tree_digest(serial / stage) == tree_digest(parallel / stage), stage
 
 
 class TestColorTargets:

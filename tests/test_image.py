@@ -71,11 +71,14 @@ class TestResizeArea:
         out = resize_area(img, ow, oh)
         assert out.mean() == pytest.approx(img.mean(), rel=1e-6, abs=1e-12)
 
-    @given(img=small_images(min_side=2, max_side=9))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_naive_oracle(self, img):
+    @given(img=small_images(min_side=2, max_side=9), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle(self, img, data):
+        # any output size down to 1x1, so non-integer ratios like the
+        # schedule's 256 -> 224 and 256 -> 24 are covered too
         h, w = img.shape
-        oh, ow = max(h - 1, 1), max(w - 1, 1)
+        oh = data.draw(st.integers(1, h), label="oh")
+        ow = data.draw(st.integers(1, w), label="ow")
         ours = resize_area(img, ow, oh)
         ref = area_resize_naive(img, ow, oh)
         assert np.allclose(ours, ref, atol=1e-12)
