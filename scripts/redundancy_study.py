@@ -8,7 +8,7 @@ decays geometrically and the decode error plateaus over the late steps,
 which is what makes late-step skipping and unconditional-branch replacement
 profitable.
 
-Usage: python scripts/redundancy_study.py [--seeds N]
+Usage: PYTHONPATH=src python scripts/redundancy_study.py [--seeds N]
 """
 
 import argparse

@@ -5,7 +5,7 @@ Materializes the corpus, labels it, trains a model, runs one sample, and
 evaluates the whole corpus.  Everything lands under the output directory;
 re-running with the same arguments reproduces every file byte for byte.
 
-Usage: python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T]
+Usage: PYTHONPATH=src python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T]
 """
 
 import argparse

@@ -6,39 +6,30 @@ over the corpus, and prints the fidelity/speed trade-off table.  With the
 default 200-sample corpus the mean SSIM is non-increasing and the mean
 speedup non-decreasing as the threshold drops.
 
-Usage: python scripts/tau_sweep.py [--corpus-size N] [--seed S]
+Usage: PYTHONPATH=src python scripts/tau_sweep.py [--corpus-size N] [--seed S]
 """
 
 import argparse
+import dataclasses
 
 from freqskip.corpus import default_corpus
-from freqskip.frequency import HFParams
-from freqskip.generator import TraceConfig, synth_target
-from freqskip.labeling import assign_label, label_sample, ordered_ladder_ids
+from freqskip.generator import TraceConfig
+from freqskip.labeling import assign_label, build_dataset, ordered_ladder_ids
 from freqskip.pipeline import PipelineConfig, evaluate, train_from_samples
 
 TAUS = (0.88, 0.86, 0.84)
 
 
-class Sample:
-    def __init__(self, features, label):
-        self.features = features
-        self.label = label
-
-
 def run(args):
     cfg = TraceConfig(seed=args.seed)
-    pcfg = PipelineConfig(hf=HFParams(rho=0.4))
+    pcfg = PipelineConfig()
     specs = default_corpus(args.corpus_size, seed=args.seed)
     print(f"labeling {len(specs)} samples ...")
-    records = [
-        label_sample(synth_target(spec, cfg.full_size), cfg, pcfg, TAUS[-1], sample_id=f"s{i:04d}")
-        for i, spec in enumerate(specs)
-    ]
+    records = build_dataset(specs, cfg, pcfg, TAUS[-1])
     order = ordered_ladder_ids(cfg, pcfg)
     print(f"{'tau':>6} {'mean_ssim':>10} {'min_ssim':>9} {'mean_ssim_hf':>12} {'speedup':>8}  histogram")
     for tau in TAUS:
-        samples = [Sample(r.features, assign_label(r.ssims, order, tau)) for r in records]
+        samples = [dataclasses.replace(r, label=assign_label(r.ssims, order, tau)) for r in records]
         model = train_from_samples(samples, tuple(pcfg.ladder_ids()), "logreg")
         result = evaluate(specs, cfg, pcfg, model)
         print(

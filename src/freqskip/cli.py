@@ -15,22 +15,22 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .corpus import blob_corpus, default_corpus, default_ids, family_a, family_b
-from .decision import FeatureVector, ModelFormatError, TrainedModel, load_model, predict, save_model, split_train_val
+from .corpus import _map_jobs, blob_corpus, default_corpus, default_ids, family_a, family_b
+from .decision import FeatureVector, ModelFormatError, load_model, predict, save_model, split_train_val
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
-from .image import ImageFormatError, load_image, save_image
-from .labeling import LabeledSample, is_sensitive, label_sample, write_features_csv, write_labels_csv, read_feature_csv
+from .image import ImageFormatError, save_image
+from .labeling import LabeledSample, build_dataset, read_feature_csv, sensitivity_split
 from .metrics import HfMaskParams, SsimParams
-from .pipeline import _TRAINERS, EvalResult, PipelineConfig, RunReport, run_accelerated, train_from_samples
+from .pipeline import _TRAINERS, PipelineConfig, evaluate, run_accelerated, train_from_samples
 from .strategies import parse_strategy
 
 
@@ -40,44 +40,39 @@ class ConfigError(ValueError):
 
 _CORPUS_KINDS = {"default": default_corpus, "blob": blob_corpus, "family_a": family_a, "family_b": family_b}
 _MODEL_KINDS = tuple(_TRAINERS)
+_TRACE = TraceConfig()
+_PIPELINE = PipelineConfig()
 
 
 @dataclass
 class RunConfig:
     """Flat, file-loadable configuration for the whole workflow.
 
-    The defaults are the frozen experiment setup; every key can be set in the
-    JSON config file and a few common ones also by command-line flags.
+    The defaults are the frozen experiment setup, taken from ``TraceConfig()``
+    and ``PipelineConfig()``; every key can be set in the JSON config file and
+    a few common ones also by command-line flags.
     """
 
-    seed: int = 0
+    seed: int = _TRACE.seed
     corpus_size: int = 200
     corpus_kind: str = "default"
-    steps: int = 12
-    schedule: tuple[int, ...] = (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256)
-    guidance: float = 2.0
-    gap_alpha: float = 0.15
-    gap_gamma: float = 0.6
-    decision_step: int = 9
-    analysis_size: int = 128
-    eligible_steps: int = 3
-    overhead: float = 0.005
-    hf_rho: float = 0.4
-    hf_epsilon: float = 1e-8
-    ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    ssim_k1: float = 0.01
-    ssim_k2: float = 0.03
-    hf_mask_quantile: float = 0.75
-    ladder: tuple[str, ...] = (
-        "skip_3",
-        "skip_2",
-        "skip_1",
-        "uncond_3",
-        "uncond_2",
-        "uncond_1",
-        "none",
-    )
+    steps: int = _TRACE.steps
+    schedule: tuple[int, ...] = _TRACE.schedule
+    guidance: float = _TRACE.guidance
+    gap_alpha: float = _TRACE.gap_alpha
+    gap_gamma: float = _TRACE.gap_gamma
+    decision_step: int = _PIPELINE.decision_step
+    analysis_size: int = _PIPELINE.analysis_size
+    eligible_steps: int = _PIPELINE.eligible_steps
+    overhead: float = _PIPELINE.overhead
+    hf_rho: float = _PIPELINE.hf.rho
+    hf_epsilon: float = _PIPELINE.hf.epsilon
+    ssim_window: int = _PIPELINE.ssim.window
+    ssim_sigma: float = _PIPELINE.ssim.sigma
+    ssim_k1: float = _PIPELINE.ssim.k1
+    ssim_k2: float = _PIPELINE.ssim.k2
+    hf_mask_quantile: float = _PIPELINE.hf_mask.quantile
+    ladder: tuple[str, ...] = tuple(_PIPELINE.ladder_ids())
     tau: float = 0.84
     tau_sensitivity: float = 0.85
     model_kind: str = "logreg"
@@ -184,20 +179,9 @@ def _write_manifest(out_dir: str, cfg: RunConfig, command: str, extra: dict | No
     _write_json(body, os.path.join(out_dir, "manifest.json"))
 
 
-def _map_jobs(fn, items: list, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items)
-
-
 # --------------------------------------------------------------------------
 # corpus
 # --------------------------------------------------------------------------
-
-def _synth_worker(spec: TargetSpec, size: int) -> np.ndarray:
-    return synth_target(spec, size)
-
 
 def cmd_corpus(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     tcfg = cfg.trace_config()
@@ -205,7 +189,7 @@ def cmd_corpus(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     specs = cfg.corpus_specs()
     ids = default_ids(len(specs))
     os.makedirs(out_dir, exist_ok=True)
-    targets = _map_jobs(partial(_synth_worker, size=tcfg.full_size), specs, jobs)
+    targets = _map_jobs(partial(synth_target, size=tcfg.full_size), specs, jobs)
     buckets = {"0.0-0.1": 0, "0.1-0.4": 0, "0.4-1.0": 0}
     for sid, target in zip(ids, targets):
         save_image(target, os.path.join(out_dir, f"{sid}.f32"), "rawf32")
@@ -230,7 +214,8 @@ def cmd_corpus(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     return 0
 
 
-def _read_corpus(corpus_dir: str) -> tuple[list[str], list[np.ndarray]]:
+def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
+    """Sample ids and file-backed target specs of a ``freqskip corpus`` directory."""
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
@@ -238,34 +223,31 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[np.ndarray]]:
         ids = list(manifest["ids"])
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         raise ImageFormatError(f"{corpus_dir}: not a corpus directory ({exc})") from None
-    targets = [load_image(os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
-    return ids, targets
+    return ids, [TargetSpec(path=os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
 
 
 # --------------------------------------------------------------------------
 # label
 # --------------------------------------------------------------------------
 
-def _label_worker(item: tuple[str, np.ndarray], tcfg: TraceConfig, pcfg: PipelineConfig, tau: float) -> LabeledSample:
-    sid, target = item
-    return label_sample(target, tcfg, pcfg, tau, sample_id=sid)
-
-
 def cmd_label(cfg: RunConfig, corpus_dir: str, out_dir: str, jobs: int) -> int:
     tcfg = cfg.trace_config()
     pcfg = cfg.pipeline_config()
-    ids, targets = _read_corpus(corpus_dir)
+    ids, specs = _read_corpus(corpus_dir)
     os.makedirs(out_dir, exist_ok=True)
-    samples = _map_jobs(
-        partial(_label_worker, tcfg=tcfg, pcfg=pcfg, tau=cfg.tau), list(zip(ids, targets)), jobs
+    samples = build_dataset(
+        specs,
+        tcfg,
+        pcfg,
+        cfg.tau,
+        os.path.join(out_dir, "features.csv"),
+        os.path.join(out_dir, "labels.csv"),
+        ids=ids,
+        jobs=jobs,
     )
-    write_features_csv(samples, os.path.join(out_dir, "features.csv"))
-    write_labels_csv(samples, os.path.join(out_dir, "labels.csv"))
-    histogram: dict[str, int] = {}
-    for s in samples:
-        histogram[s.label] = histogram.get(s.label, 0) + 1
-    _write_manifest(out_dir, cfg, "label", {"tau": cfg.tau, "label_histogram": dict(sorted(histogram.items()))})
-    print(f"label: {len(samples)} samples, histogram {dict(sorted(histogram.items()))}")
+    histogram = dict(sorted(Counter(s.label for s in samples).items()))
+    _write_manifest(out_dir, cfg, "label", {"tau": cfg.tau, "label_histogram": histogram})
+    print(f"label: {len(samples)} samples, histogram {histogram}")
     return 0
 
 
@@ -340,32 +322,20 @@ def cmd_run(cfg: RunConfig, model_path: str, target_path: str, out_dir: str, for
 # evaluate
 # --------------------------------------------------------------------------
 
-def _eval_worker(item: tuple[str, np.ndarray], tcfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel) -> RunReport:
-    _, target = item
-    _, report = run_accelerated(target, tcfg, pcfg, model, compute_baseline=True)
-    return report
-
-
 def cmd_evaluate(
     cfg: RunConfig, model_path: str, corpus_dir: str, out_dir: str, split_sensitivity: bool, jobs: int
 ) -> int:
     tcfg = cfg.trace_config()
     pcfg = cfg.pipeline_config()
     model = load_model(model_path)
-    ids, targets = _read_corpus(corpus_dir)
+    ids, specs = _read_corpus(corpus_dir)
     os.makedirs(out_dir, exist_ok=True)
-    reports = _map_jobs(
-        partial(_eval_worker, tcfg=tcfg, pcfg=pcfg, model=model), list(zip(ids, targets)), jobs
-    )
-    result = EvalResult(ids=ids, reports=reports)
+    result = evaluate(specs, tcfg, pcfg, model, ids=ids, jobs=jobs)
     result.write_csv(os.path.join(out_dir, "evaluation.csv"))
     _write_json(result.summary(), os.path.join(out_dir, "summary.json"))
     extra: dict = {"summary": result.summary()}
     if split_sensitivity:
-        sensitive, robust = [], []
-        for sid, target in zip(ids, targets):
-            bucket = sensitive if is_sensitive(target, tcfg, cfg.tau_sensitivity, pcfg.ssim) else robust
-            bucket.append(sid)
+        sensitive, robust = sensitivity_split(specs, tcfg, cfg.tau_sensitivity, pcfg.ssim, ids=ids, jobs=jobs)
         for name, bucket in (("sensitive", sensitive), ("robust", robust)):
             with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="ascii", newline="\n") as fh:
                 fh.writelines(f"{sid}\n" for sid in bucket)
@@ -391,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--corpus-size", dest="corpus_size", type=int, help="override corpus size")
     common.add_argument("--corpus-kind", dest="corpus_kind", choices=_CORPUS_KINDS, help="recipe family")
     common.add_argument("--model-kind", dest="model_kind", choices=_MODEL_KINDS)
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1, bit-stable)")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers, capped at the CPU count (default 1, bit-stable)"
+    )
 
     parser = argparse.ArgumentParser(
         prog="freqskip",
@@ -429,6 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         cfg = RunConfig.from_file(args.config)
         cfg.apply_overrides(args)

@@ -16,6 +16,9 @@ the other.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 
 from .generator import TargetSpec
@@ -25,6 +28,16 @@ _CORPUS_STREAM = 2
 
 def default_ids(n: int) -> list[str]:
     return [f"s{i:04d}" for i in range(n)]
+
+
+def _map_jobs(fn, items: list, jobs: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``jobs`` worker processes
+    (never more than ``os.cpu_count()``); results keep the item order."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(fn, items)
 
 
 def default_corpus(n: int = 200, seed: int = 0) -> list[TargetSpec]:

@@ -10,13 +10,14 @@ and frequency-robust halves by probing the most aggressive skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 import os
 import warnings
 
 import numpy as np
 
-from .corpus import default_ids
+from .corpus import _map_jobs, default_ids
 from .decision import FeatureVector
 from .features import decision_features
 from .generator import TargetSpec, TraceConfig, synth_target
@@ -51,12 +52,10 @@ def strategy_fidelity(
 ) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output."""
     baseline, _ = apply_strategy(target, cfg, Strategy.none())
-    cache: dict[tuple[int, bool], float] = {}
+    # the baseline scored against itself is exactly 1
+    cache = {_output_key(Strategy.none(), cfg.steps): 1.0}
     out: dict[str, float] = {}
     for strategy in ladder:
-        if strategy.kind == "none":
-            out[strategy.ident] = ssim(baseline, baseline, ssim_params)
-            continue
         key = _output_key(strategy, cfg.steps)
         if key not in cache:
             img, _ = apply_strategy(target, cfg, strategy)
@@ -126,6 +125,11 @@ def read_feature_csv(path: str | os.PathLike) -> tuple[list[str], np.ndarray, li
     return ids, np.array(rows, dtype=np.float64), (labels if has_labels else None)
 
 
+def _label_spec(item: tuple[str, TargetSpec], cfg: TraceConfig, pcfg: "PipelineConfig", tau: float) -> LabeledSample:
+    sid, spec = item
+    return label_sample(synth_target(spec, cfg.full_size), cfg, pcfg, tau, sample_id=sid)
+
+
 def build_dataset(
     specs: list[TargetSpec],
     cfg: TraceConfig,
@@ -134,19 +138,17 @@ def build_dataset(
     features_path: str | os.PathLike | None = None,
     labels_path: str | os.PathLike | None = None,
     ids: list[str] | None = None,
+    jobs: int = 1,
 ) -> list[LabeledSample]:
-    """Label every spec in order; optionally emit the feature/label CSVs."""
+    """Label every spec in order on ``jobs`` processes; optionally emit the
+    feature/label CSVs."""
     if not specs:
         raise ValueError("spec list must not be empty")
     if ids is None:
         ids = default_ids(len(specs))
     if len(ids) != len(specs):
         raise ValueError(f"{len(ids)} ids for {len(specs)} specs")
-    size = cfg.full_size
-    samples = [
-        label_sample(synth_target(spec, size), cfg, pcfg, tau, sample_id=sid)
-        for sid, spec in zip(ids, specs)
-    ]
+    samples = _map_jobs(partial(_label_spec, cfg=cfg, pcfg=pcfg, tau=tau), list(zip(ids, specs)), jobs)
     if len({s.label for s in samples}) < 2:
         warnings.warn("corpus produced fewer than 2 distinct labels; classifiers need label diversity")
     if features_path is not None:
@@ -164,9 +166,11 @@ def is_sensitive(
     probe: Strategy = Strategy.skip(3),
 ) -> bool:
     """True when the probe strategy drops SSIM against the baseline below tau_s."""
-    baseline, _ = apply_strategy(target, cfg, Strategy.none())
-    probed, _ = apply_strategy(target, cfg, probe)
-    return ssim(baseline, probed, ssim_params) < tau_s
+    return strategy_fidelity(target, cfg, (probe,), ssim_params)[probe.ident] < tau_s
+
+
+def _probe_spec(spec: TargetSpec, cfg: TraceConfig, tau_s: float, ssim_params: SsimParams, probe: Strategy) -> bool:
+    return is_sensitive(synth_target(spec, cfg.full_size), cfg, tau_s, ssim_params, probe)
 
 
 def sensitivity_split(
@@ -176,6 +180,7 @@ def sensitivity_split(
     ssim_params: SsimParams = SsimParams(),
     probe: Strategy = Strategy.skip(3),
     ids: list[str] | None = None,
+    jobs: int = 1,
 ) -> tuple[list[str], list[str]]:
     """Partition ids into (frequency-sensitive, frequency-robust).
 
@@ -187,10 +192,7 @@ def sensitivity_split(
         raise ValueError(f"tau_s must be in [0, 1], got {tau_s}")
     if ids is None:
         ids = default_ids(len(specs))
-    size = cfg.full_size
-    sensitive, robust = [], []
-    for sid, spec in zip(ids, specs):
-        target = synth_target(spec, size)
-        bucket = sensitive if is_sensitive(target, cfg, tau_s, ssim_params, probe) else robust
-        bucket.append(sid)
+    flags = _map_jobs(partial(_probe_spec, cfg=cfg, tau_s=tau_s, ssim_params=ssim_params, probe=probe), specs, jobs)
+    sensitive = [sid for sid, flag in zip(ids, flags) if flag]
+    robust = [sid for sid, flag in zip(ids, flags) if not flag]
     return sensitive, robust

@@ -16,10 +16,11 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .corpus import default_ids
+from .corpus import _map_jobs, default_ids
 from .decision import FeatureVector, TrainedModel, predict, train_forest, train_logreg, train_tree, train_two_stage
 from .features import decision_features
 from .frequency import HFParams, hf_ratio
@@ -35,7 +36,7 @@ class PipelineConfig:
 
     decision_step: int = 9
     analysis_size: int = 128
-    hf: HFParams = HFParams()
+    hf: HFParams = HFParams(rho=0.4)  # the frozen experiment radius; a bare HFParams() is 0.25
     ssim: SsimParams = SsimParams()
     hf_mask: HfMaskParams = HfMaskParams()
     ladder: tuple[Strategy, ...] = DEFAULT_LADDER
@@ -124,7 +125,7 @@ def run_accelerated(
     spd = speedup(cm, strategy)
     ssim_val = ssim_hf_val = None
     if compute_baseline:
-        baseline, _ = apply_strategy(target, cfg, Strategy.none())
+        baseline = out if strategy.kind == "none" else apply_strategy(target, cfg, Strategy.none())[0]
         ssim_val = ssim(baseline, out, pcfg.ssim)
         ssim_hf_val = ssim_hf(baseline, out, pcfg.ssim, pcfg.hf_mask)
     report = RunReport(
@@ -189,24 +190,26 @@ class EvalResult:
                 )
 
 
+def _evaluate_spec(spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel) -> RunReport:
+    _, report = run_accelerated(synth_target(spec, cfg.full_size), cfg, pcfg, model, compute_baseline=True)
+    return report
+
+
 def evaluate(
     specs: list[TargetSpec],
     cfg: TraceConfig,
     pcfg: PipelineConfig,
     model: TrainedModel,
     ids: list[str] | None = None,
+    jobs: int = 1,
 ) -> EvalResult:
-    """Run the pipeline over a corpus with baseline scoring per sample."""
+    """Run the pipeline over a corpus on ``jobs`` processes, with baseline
+    scoring per sample."""
     if not specs:
         raise ValueError("spec list must not be empty")
     if ids is None:
         ids = default_ids(len(specs))
-    size = cfg.full_size
-    reports = []
-    for spec in specs:
-        target = synth_target(spec, size)
-        _, report = run_accelerated(target, cfg, pcfg, model, compute_baseline=True)
-        reports.append(report)
+    reports = _map_jobs(partial(_evaluate_spec, cfg=cfg, pcfg=pcfg, model=model), specs, jobs)
     return EvalResult(ids=list(ids), reports=reports)
 
 

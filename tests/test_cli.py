@@ -1,6 +1,8 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +26,15 @@ def tree_digest(root):
             digest.update(name.encode())
             digest.update(open(path, "rb").read())
     return digest.hexdigest()
+
+
+def small_corpus(workspace, root, ids):
+    """A corpus directory holding the given ids of the shared workspace corpus."""
+    root.mkdir()
+    for sid in ids:
+        shutil.copy(workspace / "corpus" / f"{sid}.f32", root / f"{sid}.f32")
+    (root / "manifest.json").write_text(json.dumps({"ids": ids}))
+    return root
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +85,32 @@ class TestExitCodes:
         bad.write_text("{]")
         assert (
             run_cli("run", "--model", str(bad), "--target", str(workspace / "corpus" / "s0000.f32"), "-o", str(tmp_path / "o"))
+            == 3
+        )
+
+    def test_jobs_below_one_is_2(self, workspace, tmp_path):
+        for jobs in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("label", "--corpus", str(workspace / "corpus"), "--jobs", jobs, "-o", str(tmp_path / "out"))
+            assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_corpus_is_3(self, workspace, tmp_path):
+        corpus = small_corpus(workspace, tmp_path / "corpus", [])
+        labels, ev = tmp_path / "labels", tmp_path / "eval"
+        assert run_cli("label", "--corpus", str(corpus), "-o", str(labels)) == 3
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(ev)) == 3
+        assert not list(labels.glob("*.csv")) and not list(ev.glob("*.csv"))
+
+    def test_truncated_target_in_worker_is_3(self, workspace, tmp_path):
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0001"])
+        data = (corpus / "s0001.f32").read_bytes()
+        (corpus / "s0001.f32").write_bytes(data[: len(data) // 2])
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("label", "--corpus", str(corpus), "--jobs", "2", "-o", str(tmp_path / "labels")) == 3
+        assert (
+            run_cli("evaluate", "--model", model, "--corpus", str(corpus), "--jobs", "2", "-o", str(tmp_path / "ev"))
             == 3
         )
 
@@ -244,6 +281,29 @@ class TestJobsFlag:
             )
         for stage in ("corpus", "labels", "eval"):
             assert tree_digest(serial / stage) == tree_digest(parallel / stage), stage
+
+    def test_pool_capped_at_cpu_count(self, workspace, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            # records the requested size and maps in-process; no worker starts
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0002"])  # two distinct labels
+        assert run_cli("label", "--corpus", str(corpus), "--jobs", "100000", "-o", str(tmp_path / "labels")) == 0
+        assert sizes == [3]
 
 
 class TestColorTargets:
