@@ -48,9 +48,10 @@ from .labeling import (
     build_dataset,
     label_sample,
     sensitivity_split,
+    split_by_probe,
     strategy_fidelity,
 )
-from .metrics import HfMaskParams, SsimParams, l1_mean, ssim, ssim_hf, ssim_map
+from .metrics import HfMaskParams, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map
 from .pipeline import (
     EvalResult,
     GeneralizationReport,
@@ -68,6 +69,7 @@ from .strategies import (
     Strategy,
     apply_strategy,
     ladder_order,
+    output_key,
     parse_strategy,
     speedup,
 )

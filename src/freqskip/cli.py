@@ -28,7 +28,7 @@ from .decision import FeatureVector, ModelFormatError, load_model, predict, save
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .image import ImageFormatError, save_image
-from .labeling import LabeledSample, build_dataset, read_feature_csv, sensitivity_split
+from .labeling import LabeledSample, build_dataset, read_feature_csv, split_by_probe
 from .metrics import HfMaskParams, SsimParams
 from .pipeline import _TRAINERS, PipelineConfig, evaluate, run_accelerated, train_from_samples
 from .strategies import parse_strategy
@@ -183,17 +183,23 @@ def _write_manifest(out_dir: str, cfg: RunConfig, command: str, extra: dict | No
 # corpus
 # --------------------------------------------------------------------------
 
+def _corpus_sample(item: tuple[str, TargetSpec], out_dir: str, size: int, hf: HFParams) -> float:
+    """Synthesize and save one corpus target; only its hf_ratio goes back."""
+    sid, spec = item
+    target = synth_target(spec, size)
+    save_image(target, os.path.join(out_dir, f"{sid}.f32"), "rawf32")
+    return hf_ratio(target, hf)
+
+
 def cmd_corpus(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     tcfg = cfg.trace_config()
     pcfg = cfg.pipeline_config()
     specs = cfg.corpus_specs()
     ids = default_ids(len(specs))
     os.makedirs(out_dir, exist_ok=True)
-    targets = _map_jobs(partial(synth_target, size=tcfg.full_size), specs, jobs)
+    worker = partial(_corpus_sample, out_dir=out_dir, size=tcfg.full_size, hf=pcfg.hf)
     buckets = {"0.0-0.1": 0, "0.1-0.4": 0, "0.4-1.0": 0}
-    for sid, target in zip(ids, targets):
-        save_image(target, os.path.join(out_dir, f"{sid}.f32"), "rawf32")
-        ratio = hf_ratio(target, pcfg.hf)
+    for ratio in _map_jobs(worker, list(zip(ids, specs)), jobs):
         if ratio <= 0.1:
             buckets["0.0-0.1"] += 1
         elif ratio < 0.4:
@@ -335,7 +341,7 @@ def cmd_evaluate(
     _write_json(result.summary(), os.path.join(out_dir, "summary.json"))
     extra: dict = {"summary": result.summary()}
     if split_sensitivity:
-        sensitive, robust = sensitivity_split(specs, tcfg, cfg.tau_sensitivity, pcfg.ssim, ids=ids, jobs=jobs)
+        sensitive, robust = split_by_probe(ids, result.probe_ssims, cfg.tau_sensitivity)
         for name, bucket in (("sensitive", sensitive), ("robust", robust)):
             with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="ascii", newline="\n") as fh:
                 fh.writelines(f"{sid}\n" for sid in bucket)

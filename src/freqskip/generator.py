@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import gaussian_filter, load_image, require_gray, resize_area, resize_bilinear, save_image, to_grayscale
+from .image import ImageFormatError, gaussian_filter, load_image, require_gray, resize_area, resize_bilinear
+from .image import save_image, to_grayscale
 
 DEFAULT_SCHEDULE = (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256)
 LATE_STEPS = 3
@@ -147,13 +148,18 @@ class TargetSpec:
 def synth_target(spec: TargetSpec, size: int) -> np.ndarray:
     """Materialize a target image of the given square size.
 
-    File-backed specs are loaded (and grayscaled/resized if needed);
-    procedural specs are deterministic in (spec, seed).
+    File-backed specs are loaded (and grayscaled/resized if needed); a file
+    with a non-finite pixel or one outside [0, 1] raises ImageFormatError.
+    Procedural specs are deterministic in (spec, seed).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if spec.path is not None:
         img = load_image(spec.path)
+        if not np.isfinite(img).all():
+            raise ImageFormatError(f"{spec.path}: target has non-finite pixels")
+        if img.min() < 0.0 or img.max() > 1.0:
+            raise ImageFormatError(f"{spec.path}: target pixels span [{img.min()}, {img.max()}], outside [0, 1]")
         if img.ndim == 3:
             img = to_grayscale(img)
         if img.shape != (size, size):

@@ -22,7 +22,7 @@ from .decision import FeatureVector
 from .features import decision_features
 from .generator import TargetSpec, TraceConfig, synth_target
 from .metrics import SsimParams, ssim
-from .strategies import Strategy, apply_strategy, ladder_order
+from .strategies import Strategy, apply_strategy, ladder_order, output_key
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -39,24 +39,17 @@ class LabeledSample:
     ssims: dict[str, float]
 
 
-def _output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
-    # strategies that stop at the same step with the same branch replacement
-    # emit identical images, so their SSIMs can be shared
-    stop = steps - strategy.skip_n if strategy.kind in ("skip", "hybrid") else steps
-    replaced = strategy.kind in ("uncond", "hybrid")
-    return stop, replaced
-
-
 def strategy_fidelity(
     target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy], ssim_params: SsimParams
 ) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output."""
     baseline, _ = apply_strategy(target, cfg, Strategy.none())
-    # the baseline scored against itself is exactly 1
-    cache = {_output_key(Strategy.none(), cfg.steps): 1.0}
+    # strategies emitting the same image share its SSIM; the baseline scored
+    # against itself is exactly 1
+    cache = {output_key(Strategy.none(), cfg.steps): 1.0}
     out: dict[str, float] = {}
     for strategy in ladder:
-        key = _output_key(strategy, cfg.steps)
+        key = output_key(strategy, cfg.steps)
         if key not in cache:
             img, _ = apply_strategy(target, cfg, strategy)
             cache[key] = ssim(baseline, img, ssim_params)
@@ -158,19 +151,26 @@ def build_dataset(
     return samples
 
 
-def is_sensitive(
-    target: np.ndarray,
-    cfg: TraceConfig,
-    tau_s: float,
-    ssim_params: SsimParams,
-    probe: Strategy = Strategy.skip(3),
-) -> bool:
-    """True when the probe strategy drops SSIM against the baseline below tau_s."""
-    return strategy_fidelity(target, cfg, (probe,), ssim_params)[probe.ident] < tau_s
+SENSITIVITY_PROBE = Strategy.skip(3)  # the most aggressive skip on the default ladder
 
 
-def _probe_spec(spec: TargetSpec, cfg: TraceConfig, tau_s: float, ssim_params: SsimParams, probe: Strategy) -> bool:
-    return is_sensitive(synth_target(spec, cfg.full_size), cfg, tau_s, ssim_params, probe)
+def split_by_probe(ids: list[str], probe_ssims: list[float], tau_s: float) -> tuple[list[str], list[str]]:
+    """Partition ids into (frequency-sensitive, frequency-robust).
+
+    A sample is sensitive when its probe output's SSIM against the baseline
+    is below tau_s.  The endpoints are allowed: 0 marks everything robust and
+    1 marks everything sensitive (for any imperfect probe).
+    """
+    if not 0.0 <= tau_s <= 1.0:
+        raise ValueError(f"tau_s must be in [0, 1], got {tau_s}")
+    flags = [value < tau_s for value in probe_ssims]
+    sensitive = [sid for sid, flag in zip(ids, flags) if flag]
+    robust = [sid for sid, flag in zip(ids, flags) if not flag]
+    return sensitive, robust
+
+
+def _probe_spec(spec: TargetSpec, cfg: TraceConfig, ssim_params: SsimParams, probe: Strategy) -> float:
+    return strategy_fidelity(synth_target(spec, cfg.full_size), cfg, (probe,), ssim_params)[probe.ident]
 
 
 def sensitivity_split(
@@ -178,21 +178,18 @@ def sensitivity_split(
     cfg: TraceConfig,
     tau_s: float,
     ssim_params: SsimParams = SsimParams(),
-    probe: Strategy = Strategy.skip(3),
+    probe: Strategy = SENSITIVITY_PROBE,
     ids: list[str] | None = None,
     jobs: int = 1,
 ) -> tuple[list[str], list[str]]:
-    """Partition ids into (frequency-sensitive, frequency-robust).
+    """:func:`split_by_probe` of the probe SSIM of every spec, on ``jobs``
+    processes and without a decision model.
 
-    A sample is sensitive when the probe strategy (the most aggressive skip)
-    drops its SSIM below tau_s.  The endpoints are allowed: 0 marks everything
-    robust and 1 marks everything sensitive (for any imperfect probe).
+    ``pipeline.evaluate`` records the same probe SSIMs in its own pass
+    (``EvalResult.probe_ssims``), which is how ``freqskip evaluate
+    --split-sensitivity`` splits its corpus.
     """
-    if not 0.0 <= tau_s <= 1.0:
-        raise ValueError(f"tau_s must be in [0, 1], got {tau_s}")
     if ids is None:
         ids = default_ids(len(specs))
-    flags = _map_jobs(partial(_probe_spec, cfg=cfg, tau_s=tau_s, ssim_params=ssim_params, probe=probe), specs, jobs)
-    sensitive = [sid for sid, flag in zip(ids, flags) if flag]
-    robust = [sid for sid, flag in zip(ids, flags) if not flag]
-    return sensitive, robust
+    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg, ssim_params=ssim_params, probe=probe), specs, jobs)
+    return split_by_probe(ids, probe_ssims, tau_s)

@@ -5,7 +5,8 @@ SSIM follows the standard definition with Gaussian-weighted local statistics
 inputs, so the returned map has the same shape as the inputs.  The
 high-frequency variant averages the SSIM map only over the reference image's
 strongest Sobel responses (top quartile by default), emphasizing fine-detail
-preservation that the plain mean washes out.
+preservation that the plain mean washes out.  Callers that need both scores
+build one map and take ``np.mean`` and :func:`hf_mean` of it.
 """
 
 from __future__ import annotations
@@ -89,20 +90,25 @@ def ssim_hf(
     params: SsimParams = SsimParams(),
     mask_params: HfMaskParams = HfMaskParams(),
 ) -> float:
-    """SSIM averaged over the reference image's high-frequency regions.
+    """SSIM averaged over the reference image's high-frequency regions: the
+    :func:`hf_mean` of ``ssim_map(a, b)`` with ``a`` as the reference."""
+    return hf_mean(ssim_map(a, b, params), a, mask_params)
 
-    The mask keeps pixels whose Sobel magnitude in the reference ``a`` is at
-    least the configured quantile of that map.  A flat reference yields the
-    plain SSIM (every pixel ties at zero, and an empty mask falls back to it
-    as well).
+
+def hf_mean(values: np.ndarray, reference: np.ndarray, mask_params: HfMaskParams = HfMaskParams()) -> float:
+    """Mean of a per-pixel map over the reference image's high-frequency pixels.
+
+    The mask keeps pixels whose Sobel magnitude in ``reference`` is at least
+    the configured quantile of that map.  A flat reference yields the plain
+    mean (every pixel ties at zero, and an empty mask falls back to it as
+    well).
     """
-    smap = ssim_map(a, b, params)
-    sob = sobel_magnitude(np.asarray(a, dtype=np.float64))
+    sob = sobel_magnitude(np.asarray(reference, dtype=np.float64))
     cutoff = np.quantile(sob, mask_params.quantile)
     mask = sob >= cutoff
     if not mask.any():
-        return float(np.mean(smap))
-    return float(np.mean(smap[mask]))
+        return float(np.mean(values))
+    return float(np.mean(values[mask]))
 
 
 def l1_mean(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -25,9 +25,9 @@ from .decision import FeatureVector, TrainedModel, predict, train_forest, train_
 from .features import decision_features
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
-from .labeling import build_dataset
-from .metrics import HfMaskParams, SsimParams, ssim, ssim_hf
-from .strategies import DEFAULT_LADDER, CostModel, Strategy, apply_strategy, parse_strategy, speedup
+from .labeling import SENSITIVITY_PROBE, build_dataset
+from .metrics import HfMaskParams, SsimParams, hf_mean, ssim, ssim_map
+from .strategies import DEFAULT_LADDER, CostModel, Strategy, apply_strategy, output_key, parse_strategy, speedup
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ def run_accelerated(
     spd = speedup(cm, strategy)
     ssim_val = ssim_hf_val = None
     if compute_baseline:
-        baseline = out if strategy.kind == "none" else apply_strategy(target, cfg, Strategy.none())[0]
-        ssim_val = ssim(baseline, out, pcfg.ssim)
-        ssim_hf_val = ssim_hf(baseline, out, pcfg.ssim, pcfg.hf_mask)
+        _, ssim_val, ssim_hf_val = _score(target, cfg, pcfg, strategy, out)
     report = RunReport(
         strategy=strategy.ident,
         features=feats,
@@ -139,13 +137,28 @@ def run_accelerated(
     return out, report
 
 
+def _score(
+    target: np.ndarray, cfg: TraceConfig, pcfg: PipelineConfig, strategy: Strategy, out: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """The baseline output, and the SSIM and SSIM-HF of the strategy's output
+    ``out`` against it, both taken from one SSIM map."""
+    same = output_key(strategy, cfg.steps) == output_key(Strategy.none(), cfg.steps)
+    baseline = out if same else apply_strategy(target, cfg, Strategy.none())[0]
+    smap = ssim_map(baseline, out, pcfg.ssim)
+    return baseline, float(np.mean(smap)), hf_mean(smap, baseline, pcfg.hf_mask)
+
+
 EVAL_CSV_HEADER = "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
 
 
 @dataclass
 class EvalResult:
+    """Per-sample reports, plus each sample's SSIM under the sensitivity
+    probe (``labeling.SENSITIVITY_PROBE``) against the same baseline."""
+
     ids: list[str]
     reports: list[RunReport]
+    probe_ssims: list[float]
 
     @property
     def mean_ssim(self) -> float:
@@ -190,9 +203,19 @@ class EvalResult:
                 )
 
 
-def _evaluate_spec(spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel) -> RunReport:
-    _, report = run_accelerated(synth_target(spec, cfg.full_size), cfg, pcfg, model, compute_baseline=True)
-    return report
+def _evaluate_spec(
+    spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel
+) -> tuple[RunReport, float]:
+    """One sample's report with baseline scores, and its probe SSIM."""
+    target = synth_target(spec, cfg.full_size)
+    out, report = run_accelerated(target, cfg, pcfg, model)
+    strategy = parse_strategy(report.strategy)
+    baseline, ssim_val, ssim_hf_val = _score(target, cfg, pcfg, strategy, out)
+    report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
+    if output_key(SENSITIVITY_PROBE, cfg.steps) == output_key(strategy, cfg.steps):
+        return report, ssim_val
+    probe_out, _ = apply_strategy(target, cfg, SENSITIVITY_PROBE)
+    return report, ssim(baseline, probe_out, pcfg.ssim)
 
 
 def evaluate(
@@ -204,13 +227,13 @@ def evaluate(
     jobs: int = 1,
 ) -> EvalResult:
     """Run the pipeline over a corpus on ``jobs`` processes, with baseline
-    scoring per sample."""
+    scoring and the sensitivity probe per sample."""
     if not specs:
         raise ValueError("spec list must not be empty")
     if ids is None:
         ids = default_ids(len(specs))
-    reports = _map_jobs(partial(_evaluate_spec, cfg=cfg, pcfg=pcfg, model=model), specs, jobs)
-    return EvalResult(ids=list(ids), reports=reports)
+    scored = _map_jobs(partial(_evaluate_spec, cfg=cfg, pcfg=pcfg, model=model), specs, jobs)
+    return EvalResult(ids=list(ids), reports=[r for r, _ in scored], probe_ssims=[p for _, p in scored])
 
 
 _TRAINERS = {

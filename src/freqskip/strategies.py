@@ -188,24 +188,32 @@ def ladder_order(cm: CostModel, ladder: tuple[Strategy, ...] | list[Strategy]) -
     return sorted(ladder, key=key)
 
 
+def output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
+    """Which image a strategy emits: its stop step, and whether that step's
+    unconditional branch is replaced by the conditional one.
+
+    The branch construction is step-local, so strategies with equal keys
+    emit bit-identical images (every ``uncond_n`` emits the same one).
+    """
+    stop = steps - strategy.skip_n if strategy.kind in ("skip", "hybrid") else steps
+    return stop, strategy.kind in ("uncond", "hybrid")
+
+
 def apply_strategy(
     target: np.ndarray, cfg: TraceConfig, strategy: Strategy
 ) -> tuple[np.ndarray, float]:
     """Run the toy generator under a strategy.
 
     Returns the full-resolution output image and the modeled cost (without
-    decision overhead).  The branch construction is step-local, so only the
-    emitting step needs to be computed; results are bit-identical to running
-    the full trace.
+    decision overhead).  Only the emitting step named by :func:`output_key`
+    is computed; results are bit-identical to running the full trace.
     """
     strategy.validate_for(cfg.steps)
-    k = cfg.steps
-    stop = k - strategy.skip_n if strategy.kind in ("skip", "hybrid") else k
-    replaced_at_stop = strategy.kind in ("uncond", "hybrid")
+    stop, replaced = output_key(strategy, cfg.steps)
     cond, _, combined = step_images(target, cfg, stop)
-    out = np.clip(cond, 0.0, 1.0) if replaced_at_stop else combined
+    out = np.clip(cond, 0.0, 1.0) if replaced else combined
     size = cfg.full_size
-    if stop < k:
+    if stop < cfg.steps:
         out = resize_bilinear(out, size, size)
     cm = CostModel(weights=cfg.cost_weights, overhead=0.0)
     return out, cm.strategy_cost(strategy)

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from freqskip.cli import RunConfig, main
+from freqskip.decision import Standardizer, TrainedModel, save_model
+from freqskip.generator import TargetSpec
 from freqskip.image import load_image, save_image
+from freqskip.labeling import sensitivity_split
 from freqskip.strategies import Strategy, apply_strategy
 
 
@@ -113,6 +116,23 @@ class TestExitCodes:
             run_cli("evaluate", "--model", model, "--corpus", str(corpus), "--jobs", "2", "-o", str(tmp_path / "ev"))
             == 3
         )
+
+    def test_out_of_range_target_is_3(self, workspace, tmp_path):
+        img = load_image(workspace / "corpus" / "s0000.f32")
+        img[5, 7] = 2.0
+        save_image(img, tmp_path / "bright.f32", "rawf32")
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("run", "--model", model, "--target", str(tmp_path / "bright.f32"), "-o", str(tmp_path / "run")) == 3
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_target_in_worker_is_3(self, workspace, tmp_path, capsys):
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0001"])
+        img = load_image(corpus / "s0001.f32")
+        img[0, 0] = np.nan
+        save_image(img, corpus / "s0001.f32", "rawf32")
+        assert run_cli("label", "--corpus", str(corpus), "--jobs", "2", "-o", str(tmp_path / "labels")) == 3
+        assert "s0001.f32" in capsys.readouterr().err
+        assert not list((tmp_path / "labels").glob("*.csv"))
 
     def test_unknown_model_kind_is_2(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -253,6 +273,33 @@ class TestEvaluateCommand:
         sens = (out / "sensitive.txt").read_text().split()
         rob = (out / "robust.txt").read_text().split()
         assert sorted(sens + rob) == [f"s{i:04d}" for i in range(16)]
+
+
+    def test_split_matches_model_free_split(self, workspace, tmp_path):
+        # the split comes from the evaluate pass; the workspace model picks
+        # skip_3 (the probe's own image) on some samples, and a constant
+        # uncond_3 model never emits the probe's image
+        ids = ["s0000", "s0002", "s0003", "s0004", "s0010"]
+        corpus = small_corpus(workspace, tmp_path / "corpus", ids)
+        specs = [TargetSpec(path=str(corpus / f"{sid}.f32")) for sid in ids]
+        cfg = RunConfig()
+        sensitive, robust = sensitivity_split(
+            specs, cfg.trace_config(), cfg.tau_sensitivity, cfg.pipeline_config().ssim, ids=ids
+        )
+        assert sensitive and robust
+        constant = tmp_path / "uncond_3.json"
+        save_model(
+            TrainedModel("logreg", ("uncond_3",), Standardizer.identity(2), np.zeros((1, 2)), np.zeros(1)), constant
+        )
+        for model, picks in ((workspace / "model" / "model.json", {"skip_3", "uncond_3"}), (constant, {"uncond_3"})):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{model.stem}_{jobs}"
+                argv = ["evaluate", "--model", str(model), "--corpus", str(corpus), "--split-sensitivity"]
+                assert run_cli(*argv, "--jobs", jobs, "-o", str(out)) == 0
+                rows = (out / "evaluation.csv").read_text().splitlines()[1:]
+                assert {row.split(",")[1] for row in rows} == picks
+                assert (out / "sensitive.txt").read_text().split() == sensitive
+                assert (out / "robust.txt").read_text().split() == robust
 
 
 class TestJobsFlag:

@@ -16,7 +16,7 @@ from freqskip.generator import (
     save_trace,
     synth_target,
 )
-from freqskip.image import save_image
+from freqskip.image import ImageFormatError, save_image
 from freqskip.metrics import l1_mean, ssim
 
 from oracles import hf_ratio_naive
@@ -102,6 +102,15 @@ class TestSynthTarget:
         save_image(img, path, "rawf32")
         out = synth_target(TargetSpec(path=str(path)), 32)
         assert out.shape == (32, 32)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 2.0])
+    def test_file_backed_spec_rejects_pixels_outside_unit_range(self, tmp_path, rng, bad):
+        img = rng.random((64, 64))
+        img[10, 20] = bad
+        path = tmp_path / "t.f32"
+        save_image(img, path, "rawf32")
+        with pytest.raises(ImageFormatError, match="t.f32"):
+            synth_target(TargetSpec(path=str(path)), 32)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_PIPELINE, FROZEN_TRACE
+from freqskip import metrics, pipeline
 from freqskip.corpus import default_corpus, family_a, family_b
 from freqskip.decision import Standardizer, TrainedModel, predict
 from freqskip.features import decision_features
 from freqskip.generator import TargetSpec, TraceConfig, generate_trace, synth_target
-from freqskip.labeling import assign_label, ordered_ladder_ids
+from freqskip.labeling import SENSITIVITY_PROBE, assign_label, ordered_ladder_ids, strategy_fidelity
+from freqskip.metrics import ssim, ssim_hf
 from freqskip.pipeline import (
     PipelineConfig,
     evaluate,
@@ -136,6 +138,27 @@ class TestRunAccelerated:
             )
             assert report.ssim >= record.ssims["skip_3"] - 1e-4
 
+    def test_baseline_scores_come_from_one_map(self, frozen_targets, monkeypatch):
+        calls = []
+        original = metrics.ssim_map
+
+        def counted(a, b, params=metrics.SsimParams()):
+            calls.append(1)
+            return original(a, b, params)
+
+        monkeypatch.setattr(metrics, "ssim_map", counted)
+        monkeypatch.setattr(pipeline, "ssim_map", counted)
+        for target in frozen_targets[:3]:
+            baseline, _ = apply_strategy(target, FROZEN_TRACE, Strategy.none())
+            for strategy in (Strategy.skip(3), Strategy.uncond(3), Strategy.none()):
+                calls.clear()
+                out, report = run_accelerated(
+                    target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy, compute_baseline=True
+                )
+                assert len(calls) == 1
+                assert report.ssim == ssim(baseline, out, FROZEN_PIPELINE.ssim)
+                assert report.ssim_hf == ssim_hf(baseline, out, FROZEN_PIPELINE.ssim, FROZEN_PIPELINE.hf_mask)
+
 
 class TestFixedHybridSchedule:
     def test_hybrid_runs_with_earlier_decision_step(self):
@@ -179,6 +202,19 @@ class TestEvaluate:
         assert lines[0] == "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
         ssims = [float(line.split(",")[4]) for line in lines[1:]]
         assert float(np.mean(ssims)) == pytest.approx(result.mean_ssim, abs=1e-9)
+
+    def test_probe_ssims_match_model_free_probe(self, mini_model):
+        # mini_model picks skip_3 (the probe's own image) on some samples; the
+        # constant uncond_3 model never does, so each probe is scored apart
+        specs = default_corpus(4, seed=5)
+        expect = [
+            strategy_fidelity(synth_target(spec, 256), FROZEN_TRACE, (SENSITIVITY_PROBE,), FROZEN_PIPELINE.ssim)["skip_3"]
+            for spec in specs
+        ]
+        for model in (mini_model, constant_model("uncond_3")):
+            result = evaluate(specs, FROZEN_TRACE, FROZEN_PIPELINE, model)
+            assert result.probe_ssims == expect
+            assert ("skip_3" in result.histogram) == (model is mini_model)
 
     def test_empty_corpus_rejected(self, mini_model):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FROZEN_TRACE
 from freqskip.generator import TargetSpec, TraceConfig, generate_trace, synth_target
 from freqskip.metrics import ssim
 from freqskip.strategies import (
@@ -13,6 +15,7 @@ from freqskip.strategies import (
     Strategy,
     apply_strategy,
     ladder_order,
+    output_key,
     parse_strategy,
     speedup,
 )
@@ -185,3 +188,20 @@ class TestApplyStrategy:
     def test_invalid_bounds(self, blob_target, cfg):
         with pytest.raises(ValueError):
             apply_strategy(blob_target, cfg, Strategy.skip(12))
+
+
+class TestOutputKey:
+    def test_equal_keys_emit_bit_identical_images(self, frozen_targets):
+        # the default ladder plus two hybrids that stop at step 11 with the
+        # branch replaced; only the key decides which image is emitted
+        ladder = DEFAULT_LADDER + (Strategy.hybrid(1, 1), Strategy.hybrid(1, 2))
+        groups = collections.defaultdict(list)
+        for strategy in ladder:
+            groups[output_key(strategy, FROZEN_TRACE.steps)].append(strategy)
+        shared = sorted(s.ident for group in groups.values() if len(group) > 1 for s in group)
+        assert shared == ["hybrid_1_1", "hybrid_1_2", "uncond_1", "uncond_2", "uncond_3"]
+        for target in frozen_targets[:3]:
+            images = {key: [apply_strategy(target, FROZEN_TRACE, s)[0] for s in group] for key, group in groups.items()}
+            for outs in images.values():
+                assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+            assert len({outs[0].tobytes() for outs in images.values()}) == len(groups)
