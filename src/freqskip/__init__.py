@@ -51,7 +51,7 @@ from .labeling import (
     split_by_probe,
     strategy_fidelity,
 )
-from .metrics import HfMaskParams, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map
+from .metrics import HfMaskParams, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 from .pipeline import (
     EvalResult,
     GeneralizationReport,

@@ -19,10 +19,10 @@ import numpy as np
 
 from .corpus import _map_jobs, default_ids
 from .decision import FeatureVector
-from .features import decision_features
-from .generator import TargetSpec, TraceConfig, synth_target
-from .metrics import SsimParams, ssim
-from .strategies import Strategy, apply_strategy, ladder_order, output_key
+from .features import feature_steps, step_features
+from .generator import TargetSpec, TraceConfig, step_images, synth_target
+from .metrics import SsimParams, ssim_maps
+from .strategies import Strategy, emitted_image, ladder_order, output_key
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -39,22 +39,54 @@ class LabeledSample:
     ssims: dict[str, float]
 
 
+def _simulate(
+    target: np.ndarray,
+    cfg: TraceConfig,
+    ladder: Iterable[Strategy],
+    ssim_params: SsimParams,
+    kept_steps: tuple[int, ...] = (),
+) -> tuple[dict[str, float], dict[int, np.ndarray]]:
+    """SSIM of each ladder strategy's output against the baseline output, and
+    the combined image of each step in ``kept_steps``.
+
+    Each needed step is built once, from the last step down, and dropped
+    once its outputs are emitted.  The last step gives the baseline, whose
+    SSIM moments are filtered once, and the replaced-branch output; each
+    output is scored, keeping only its mean, before the next step is built.
+    Strategies emitting the same image (equal ``output_key``) share its
+    score; the baseline against itself is exactly 1.
+    """
+    ladder = list(ladder)
+    for strategy in ladder:
+        strategy.validate_for(cfg.steps)
+    keys = {s.ident: output_key(s, cfg.steps) for s in ladder}
+    # the baseline's key sorts first: the last stop step, branch not replaced
+    order = sorted(set(keys.values()) | {output_key(Strategy.none(), cfg.steps)}, key=lambda key: (-key[0], key[1]))
+    steps = sorted({stop for stop, _ in order} | set(kept_steps), reverse=True)
+    kept: dict[int, np.ndarray] = {}
+
+    def step_outputs(k: int) -> list[np.ndarray]:
+        # a call of its own, so the step's branch images are freed before
+        # its outputs are scored
+        cond, _, combined = step_images(target, cfg, k)
+        if k in kept_steps:
+            kept[k] = combined
+        return [emitted_image(key, cond, combined, cfg) for key in order if key[0] == k]
+
+    images = (img for k in steps for img in step_outputs(k))
+    baseline = next(images)
+    # map() drops each SSIM map before the next is built; draining `images`
+    # also builds the kept steps that no output stops at
+    scores = [1.0] + [float(v) for v in map(np.mean, ssim_maps(baseline, images, ssim_params))]
+    by_key = dict(zip(order, scores))
+    return {ident: by_key[key] for ident, key in keys.items()}, kept
+
+
 def strategy_fidelity(
     target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy], ssim_params: SsimParams
 ) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output."""
-    baseline, _ = apply_strategy(target, cfg, Strategy.none())
-    # strategies emitting the same image share its SSIM; the baseline scored
-    # against itself is exactly 1
-    cache = {output_key(Strategy.none(), cfg.steps): 1.0}
-    out: dict[str, float] = {}
-    for strategy in ladder:
-        key = output_key(strategy, cfg.steps)
-        if key not in cache:
-            img, _ = apply_strategy(target, cfg, strategy)
-            cache[key] = ssim(baseline, img, ssim_params)
-        out[strategy.ident] = cache[key]
-    return out
+    return _simulate(target, cfg, ladder, ssim_params)[0]
 
 
 def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) -> str:
@@ -78,10 +110,16 @@ def label_sample(
     tau: float,
     sample_id: str = "",
 ) -> LabeledSample:
-    """Simulate every ladder strategy and label by first-above-threshold."""
-    ssims = strategy_fidelity(target, cfg, pcfg.ladder, pcfg.ssim)
+    """Simulate every ladder strategy and label by first-above-threshold.
+
+    The features come from the same step images as the outputs, so each
+    step is built once; they equal ``features.decision_features`` bit for
+    bit.
+    """
+    steps = feature_steps(cfg, pcfg.decision_step)
+    ssims, kept = _simulate(target, cfg, pcfg.ladder, pcfg.ssim, steps)
     label = assign_label(ssims, ordered_ladder_ids(cfg, pcfg), tau)
-    feats = decision_features(target, cfg, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
+    feats = step_features(kept[steps[0]], kept[steps[1]], pcfg.analysis_size, pcfg.hf)
     return LabeledSample(sample_id=sample_id, features=feats, label=label, ssims=ssims)
 
 

@@ -6,12 +6,15 @@ inputs, so the returned map has the same shape as the inputs.  The
 high-frequency variant averages the SSIM map only over the reference image's
 strongest Sobel responses (top quartile by default), emphasizing fine-detail
 preservation that the plain mean washes out.  Callers that need both scores
-build one map and take ``np.mean`` and :func:`hf_mean` of it.
+build one map and take ``np.mean`` and :func:`hf_mean` of it; callers that
+score several images against one reference use :func:`ssim_maps`, which
+filters the reference's moments once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,33 +53,53 @@ class HfMaskParams:
             raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    a = require_gray(a, "a")
-    b = require_gray(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"image dimensions differ: {a.shape} vs {b.shape}")
-    if min(a.shape) < window:
-        raise ValueError(f"images of shape {a.shape} are smaller than the {window}-tap window")
-    return a, b
+def _check_like(b: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    b = require_gray(b, "image")
+    if b.shape != reference.shape:
+        raise ValueError(f"image dimensions differ: {reference.shape} vs {b.shape}")
+    return b
 
 
-def ssim_map(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> np.ndarray:
-    """Full-size per-pixel structural similarity map."""
-    a, b = _check_pair(a, b, params.window)
+def _moments(x: np.ndarray, params: SsimParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-filtered local mean and variance of one image."""
     sigma, radius = params.sigma, params.window // 2
-    mu_a = gaussian_filter(a, sigma, radius)
-    mu_b = gaussian_filter(b, sigma, radius)
-    e_aa = gaussian_filter(a * a, sigma, radius)
-    e_bb = gaussian_filter(b * b, sigma, radius)
-    e_ab = gaussian_filter(a * b, sigma, radius)
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
+    mu = gaussian_filter(x, sigma, radius)
+    return mu, gaussian_filter(x * x, sigma, radius) - mu * mu
+
+
+def _ssim_against(a: np.ndarray, mu_a: np.ndarray, var_a: np.ndarray, b: np.ndarray, params: SsimParams) -> np.ndarray:
+    # a function of its own, so the temporaries of one map are freed before
+    # the caller asks for the next
+    mu_b, var_b = _moments(b, params)
+    cov = gaussian_filter(a * b, params.sigma, params.window // 2) - mu_a * mu_b
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return num / den
+
+
+def ssim_maps(
+    reference: np.ndarray, images: Iterable[np.ndarray], params: SsimParams = SsimParams()
+) -> Iterator[np.ndarray]:
+    """SSIM map of each image against one reference, yielded lazily in order.
+
+    The reference's filtered moments are computed once, here; each image then
+    costs only its own three filter passes.  ``images`` may itself be lazy,
+    so a caller that reduces each map before asking for the next holds one
+    image and one map at a time.
+    """
+    a = require_gray(reference, "reference")
+    if min(a.shape) < params.window:
+        raise ValueError(f"images of shape {a.shape} are smaller than the {params.window}-tap window")
+    mu_a, var_a = _moments(a, params)
+    return (_ssim_against(a, mu_a, var_a, _check_like(b, a), params) for b in images)
+
+
+def ssim_map(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> np.ndarray:
+    """Full-size per-pixel structural similarity map: :func:`ssim_maps` with
+    ``a`` as the reference and ``b`` as the one image."""
+    return next(ssim_maps(a, (b,), params))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:

@@ -26,7 +26,7 @@ from .features import decision_features
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .labeling import SENSITIVITY_PROBE, build_dataset
-from .metrics import HfMaskParams, SsimParams, hf_mean, ssim, ssim_map
+from .metrics import HfMaskParams, SsimParams, hf_mean, ssim_map, ssim_maps
 from .strategies import DEFAULT_LADDER, CostModel, Strategy, apply_strategy, output_key, parse_strategy, speedup
 
 
@@ -125,7 +125,7 @@ def run_accelerated(
     spd = speedup(cm, strategy)
     ssim_val = ssim_hf_val = None
     if compute_baseline:
-        _, ssim_val, ssim_hf_val = _score(target, cfg, pcfg, strategy, out)
+        ssim_val, ssim_hf_val, _ = _score(target, cfg, pcfg, strategy, out)
     report = RunReport(
         strategy=strategy.ident,
         features=feats,
@@ -138,14 +138,25 @@ def run_accelerated(
 
 
 def _score(
-    target: np.ndarray, cfg: TraceConfig, pcfg: PipelineConfig, strategy: Strategy, out: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """The baseline output, and the SSIM and SSIM-HF of the strategy's output
-    ``out`` against it, both taken from one SSIM map."""
+    target: np.ndarray,
+    cfg: TraceConfig,
+    pcfg: PipelineConfig,
+    strategy: Strategy,
+    out: np.ndarray,
+    probe: np.ndarray | None = None,
+) -> tuple[float, float, float | None]:
+    """SSIM and SSIM-HF of the strategy's output ``out`` against the baseline
+    output, both taken from one SSIM map, and the SSIM of ``probe`` against
+    the same baseline if given (the baseline's moments filtered once)."""
     same = output_key(strategy, cfg.steps) == output_key(Strategy.none(), cfg.steps)
     baseline = out if same else apply_strategy(target, cfg, Strategy.none())[0]
-    smap = ssim_map(baseline, out, pcfg.ssim)
-    return baseline, float(np.mean(smap)), hf_mean(smap, baseline, pcfg.hf_mask)
+    probe_ssim = None
+    if probe is None:
+        smap = ssim_map(baseline, out, pcfg.ssim)
+    else:
+        smap, probe_map = ssim_maps(baseline, (out, probe), pcfg.ssim)
+        probe_ssim = float(np.mean(probe_map))
+    return float(np.mean(smap)), hf_mean(smap, baseline, pcfg.hf_mask), probe_ssim
 
 
 EVAL_CSV_HEADER = "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
@@ -210,12 +221,12 @@ def _evaluate_spec(
     target = synth_target(spec, cfg.full_size)
     out, report = run_accelerated(target, cfg, pcfg, model)
     strategy = parse_strategy(report.strategy)
-    baseline, ssim_val, ssim_hf_val = _score(target, cfg, pcfg, strategy, out)
+    probe = None
+    if output_key(SENSITIVITY_PROBE, cfg.steps) != output_key(strategy, cfg.steps):
+        probe, _ = apply_strategy(target, cfg, SENSITIVITY_PROBE)
+    ssim_val, ssim_hf_val, probe_ssim = _score(target, cfg, pcfg, strategy, out, probe)
     report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
-    if output_key(SENSITIVITY_PROBE, cfg.steps) == output_key(strategy, cfg.steps):
-        return report, ssim_val
-    probe_out, _ = apply_strategy(target, cfg, SENSITIVITY_PROBE)
-    return report, ssim(baseline, probe_out, pcfg.ssim)
+    return report, ssim_val if probe_ssim is None else probe_ssim
 
 
 def evaluate(

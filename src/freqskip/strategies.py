@@ -199,6 +199,18 @@ def output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
     return stop, strategy.kind in ("uncond", "hybrid")
 
 
+def emitted_image(key: tuple[int, bool], cond: np.ndarray, combined: np.ndarray, cfg: TraceConfig) -> np.ndarray:
+    """The full-size image emitted under output key ``key`` from its stop
+    step's conditional and combined images: the clipped conditional branch
+    when the unconditional one is replaced, else the combined image,
+    bilinear-upsampled when the stop step is not the last."""
+    stop, replaced = key
+    out = np.clip(cond, 0.0, 1.0) if replaced else combined
+    if stop < cfg.steps:
+        out = resize_bilinear(out, cfg.full_size, cfg.full_size)
+    return out
+
+
 def apply_strategy(
     target: np.ndarray, cfg: TraceConfig, strategy: Strategy
 ) -> tuple[np.ndarray, float]:
@@ -209,11 +221,7 @@ def apply_strategy(
     is computed; results are bit-identical to running the full trace.
     """
     strategy.validate_for(cfg.steps)
-    stop, replaced = output_key(strategy, cfg.steps)
-    cond, _, combined = step_images(target, cfg, stop)
-    out = np.clip(cond, 0.0, 1.0) if replaced else combined
-    size = cfg.full_size
-    if stop < cfg.steps:
-        out = resize_bilinear(out, size, size)
+    key = output_key(strategy, cfg.steps)
+    cond, _, combined = step_images(target, cfg, key[0])
     cm = CostModel(weights=cfg.cost_weights, overhead=0.0)
-    return out, cm.strategy_cost(strategy)
+    return emitted_image(key, cond, combined, cfg), cm.strategy_cost(strategy)

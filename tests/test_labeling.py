@@ -1,11 +1,16 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import FROZEN_PIPELINE, FROZEN_TAUS, FROZEN_TRACE
+from freqskip import labeling
 from freqskip.corpus import blob_corpus, default_corpus
-from freqskip.generator import TargetSpec, synth_target
+from freqskip.features import decision_features
+from freqskip.generator import TargetSpec, step_images, synth_target
+from freqskip.metrics import ssim
+from freqskip.strategies import DEFAULT_LADDER, Strategy, apply_strategy
 from freqskip.labeling import (
     FEATURES_HEADER,
     LABELS_HEADER,
@@ -58,6 +63,41 @@ class TestLabelSample:
         ssims = strategy_fidelity(target, FROZEN_TRACE, FROZEN_PIPELINE.ladder, FROZEN_PIPELINE.ssim)
         # all uncond variants emit the same final image in this generator
         assert ssims["uncond_1"] == ssims["uncond_2"] == ssims["uncond_3"]
+
+
+class TestOnePassLabeling:
+    # the default ladder plus a hybrid stopping at step 11 with the branch
+    # replaced, an output key the default ladder never asks for
+    PCFG = dataclasses.replace(FROZEN_PIPELINE, ladder=DEFAULT_LADDER + (Strategy.hybrid(1, 1),))
+
+    def test_scores_and_features_equal_one_strategy_at_a_time(self, frozen_targets):
+        pcfg = self.PCFG
+        for target in frozen_targets[:4]:
+            sample = label_sample(target, FROZEN_TRACE, pcfg, 0.84)
+            baseline, _ = apply_strategy(target, FROZEN_TRACE, Strategy.none())
+            for strategy in pcfg.ladder:
+                out, _ = apply_strategy(target, FROZEN_TRACE, strategy)
+                assert sample.ssims[strategy.ident] == ssim(baseline, out, pcfg.ssim)
+            assert list(sample.ssims) == pcfg.ladder_ids()
+            assert sample.features == decision_features(
+                target, FROZEN_TRACE, pcfg.decision_step, pcfg.analysis_size, pcfg.hf
+            )
+            assert strategy_fidelity(target, FROZEN_TRACE, pcfg.ladder, pcfg.ssim) == sample.ssims
+
+    def test_each_step_built_once(self, frozen_targets, monkeypatch):
+        built = []
+
+        def counted(target, cfg, k):
+            built.append(k)
+            return step_images(target, cfg, k)
+
+        monkeypatch.setattr(labeling, "step_images", counted)
+        label_sample(frozen_targets[0], FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
+        # baseline and uncond_n at 12, skip_1/2/3 at 11/10/9, features at 9 and 8
+        assert sorted(built) == [8, 9, 10, 11, 12]
+        built.clear()
+        sensitivity_split(default_corpus(2, seed=0), FROZEN_TRACE, 0.85)
+        assert sorted(built) == [9, 9, 12, 12]  # per sample: the baseline and the skip_3 probe
 
 
 class TestLabelMonotonicity:

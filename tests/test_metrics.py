@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from freqskip.frequency import sobel_magnitude
-from freqskip.metrics import HfMaskParams, SsimParams, l1_mean, ssim, ssim_hf, ssim_map
+from freqskip.metrics import HfMaskParams, SsimParams, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 
 from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_naive
 
@@ -35,6 +35,37 @@ class TestSsimMap:
     def test_too_small_for_window(self, rng):
         with pytest.raises(ValueError):
             ssim_map(rng.random((8, 8)), rng.random((8, 8)))  # default window 11
+
+
+class TestSsimMaps:
+    def test_equals_one_map_per_image(self, rng):
+        ref = rng.random((24, 20))
+        images = [rng.random((24, 20)), np.clip(ref + 0.05 * rng.random((24, 20)), 0.0, 1.0), ref.copy()]
+        maps = list(ssim_maps(ref, images))
+        assert len(maps) == 3
+        assert np.array_equal(maps, [ssim_map(ref, b) for b in images])
+        assert np.array_equal(maps[2], np.ones((24, 20)))
+
+    def test_lazy_over_a_generator(self, rng):
+        ref = rng.random((16, 16))
+        drawn = []
+
+        def images():
+            for _ in range(3):
+                drawn.append(rng.random((16, 16)))
+                yield drawn[-1]
+
+        maps = ssim_maps(ref, images())
+        assert drawn == []
+        first = next(maps)
+        assert len(drawn) == 1 and np.array_equal(first, ssim_map(ref, drawn[0]))
+        assert len(list(maps)) == 2
+
+    def test_validation(self, rng):
+        with pytest.raises(ValueError):
+            ssim_maps(rng.random((8, 8)), [])  # smaller than the window
+        with pytest.raises(ValueError):
+            list(ssim_maps(rng.random((16, 16)), [rng.random((16, 16)), rng.random((16, 17))]))
 
 
 class TestSsim:
