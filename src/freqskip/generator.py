@@ -14,6 +14,10 @@ Per-step compute is modeled by normalized weights w_k, one unit per branch,
 calibrated so the last three steps carry a fixed share (0.69) of the
 baseline cost.  Identical (target, config) pairs always produce
 bit-identical traces.
+
+A :class:`StepTrace` is one sample's run: it builds step k on first read,
+holds it until released, and is the one place features, emitted outputs,
+the baseline and labels read their steps from.
 """
 
 from __future__ import annotations
@@ -230,39 +234,51 @@ class StepRecord:
     weight: float
 
 
-@dataclass(frozen=True)
 class StepTrace:
-    """All K step records plus the target and config that produced them."""
+    """One sample's generator steps, each built on its first read and kept
+    until the caller releases it.
 
-    config: TraceConfig
-    target: np.ndarray
-    records: tuple[StepRecord, ...]
+    Every consumer of a sample (features, emitted outputs, baseline, labels)
+    reads its steps from one trace, so each step it needs is built once.
+    """
+
+    def __init__(self, target: np.ndarray, config: TraceConfig) -> None:
+        self.target = target
+        self.config = config
+        self._built: dict[int, StepRecord] = {}
 
     def step(self, k: int) -> StepRecord:
-        if not 1 <= k <= self.config.steps:
-            raise ValueError(f"step {k} out of range 1..{self.config.steps}")
-        return self.records[k - 1]
+        """Step k (1-based), built through :func:`step_images` unless held."""
+        rec = self._built.get(k)
+        if rec is None:
+            cond, uncond, combined = step_images(self.target, self.config, k)
+            rec = self._built[k] = StepRecord(cond, uncond, combined, self.config.cost_weights[k - 1])
+        return rec
+
+    def release(self, k: int) -> None:
+        """Drop step k; a later read rebuilds it."""
+        self._built.pop(k, None)
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        return tuple(self.step(k) for k in range(1, self.config.steps + 1))
 
     @property
     def final(self) -> np.ndarray:
-        return self.records[-1].combined
+        return self.step(self.config.steps).combined
 
     @property
     def baseline_cost(self) -> float:
-        return math.fsum(2.0 * r.weight for r in self.records)
+        return math.fsum(2.0 * w for w in self.config.cost_weights)
 
 
 def generate_trace(target: np.ndarray, cfg: TraceConfig) -> StepTrace:
-    """Run all K steps on a full-resolution square target."""
+    """The lazy K-step trace of a full-resolution square target."""
     target = require_gray(target, "target")
     size = cfg.full_size
     if target.shape != (size, size):
         raise ValueError(f"target must be {size}x{size} for this config, got {target.shape}")
-    records = []
-    for k in range(1, cfg.steps + 1):
-        cond, uncond, combined = step_images(target, cfg, k)
-        records.append(StepRecord(cond, uncond, combined, cfg.cost_weights[k - 1]))
-    return StepTrace(config=cfg, target=target, records=tuple(records))
+    return StepTrace(target, cfg)
 
 
 def branch_gap(trace: StepTrace, k: int) -> float:
@@ -271,17 +287,20 @@ def branch_gap(trace: StepTrace, k: int) -> float:
     return float(np.mean(np.abs(rec.cond - rec.uncond)))
 
 
-def decode_final(trace: StepTrace, stop_step: int) -> np.ndarray:
+def decode_final(trace: StepTrace, stop_step: int, replaced: bool = False) -> np.ndarray:
     """Full-resolution output if generation stops at stop_step.
 
-    Bilinear-upsamples the combined image of the stop step; at stop_step = K
-    the final image is returned unchanged.
+    The emitted image is the stop step's combined image, or its clipped
+    conditional branch when the unconditional branch is ``replaced``; it is
+    bilinear-upsampled unless stop_step = K, where the combined image is
+    returned unchanged.
     """
     rec = trace.step(stop_step)
-    size = trace.config.full_size
+    out = np.clip(rec.cond, 0.0, 1.0) if replaced else rec.combined
     if stop_step == trace.config.steps:
-        return rec.combined
-    return resize_bilinear(rec.combined, size, size)
+        return out
+    size = trace.config.full_size
+    return resize_bilinear(out, size, size)
 
 
 def save_trace(trace: StepTrace, dirpath: str | os.PathLike) -> None:
@@ -321,15 +340,12 @@ def load_trace(dirpath: str | os.PathLike) -> StepTrace:
         seed=manifest["seed"],
         cost_weights=tuple(manifest["cost_weights"]),
     )
-    target = load_image(os.path.join(dirpath, "target.f32"))
-    records = []
+    trace = StepTrace(load_image(os.path.join(dirpath, "target.f32")), cfg)
     for k in range(1, cfg.steps + 1):
-        records.append(
-            StepRecord(
-                cond=load_image(os.path.join(dirpath, f"cond_{k:02d}.f32")),
-                uncond=load_image(os.path.join(dirpath, f"uncond_{k:02d}.f32")),
-                combined=load_image(os.path.join(dirpath, f"comb_{k:02d}.f32")),
-                weight=cfg.cost_weights[k - 1],
-            )
+        trace._built[k] = StepRecord(
+            cond=load_image(os.path.join(dirpath, f"cond_{k:02d}.f32")),
+            uncond=load_image(os.path.join(dirpath, f"uncond_{k:02d}.f32")),
+            combined=load_image(os.path.join(dirpath, f"comb_{k:02d}.f32")),
+            weight=cfg.cost_weights[k - 1],
         )
-    return StepTrace(config=cfg, target=target, records=tuple(records))
+    return trace

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 import os
 import warnings
@@ -19,10 +21,10 @@ import numpy as np
 
 from .corpus import _map_jobs, default_ids
 from .decision import FeatureVector
-from .features import feature_steps, step_features
-from .generator import TargetSpec, TraceConfig, step_images, synth_target
+from .features import step_features
+from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
 from .metrics import SsimParams, ssim_maps
-from .strategies import Strategy, emitted_image, ladder_order, output_key
+from .strategies import Strategy, ladder_order, output_key
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -39,54 +41,44 @@ class LabeledSample:
     ssims: dict[str, float]
 
 
-def _simulate(
-    target: np.ndarray,
-    cfg: TraceConfig,
-    ladder: Iterable[Strategy],
-    ssim_params: SsimParams,
-    kept_steps: tuple[int, ...] = (),
-) -> tuple[dict[str, float], dict[int, np.ndarray]]:
-    """SSIM of each ladder strategy's output against the baseline output, and
-    the combined image of each step in ``kept_steps``.
+def _simulate(trace: StepTrace, ladder: Iterable[Strategy], ssim_params: SsimParams) -> dict[str, float]:
+    """SSIM of each ladder strategy's output against the baseline output.
 
-    Each needed step is built once, from the last step down, and dropped
-    once its outputs are emitted.  The last step gives the baseline, whose
-    SSIM moments are filtered once, and the replaced-branch output; each
-    output is scored, keeping only its mean, before the next step is built.
-    Strategies emitting the same image (equal ``output_key``) share its
-    score; the baseline against itself is exactly 1.
+    Outputs are emitted from the last step down, and each step is released
+    from the trace once its outputs are emitted.  The last step gives the
+    baseline, whose SSIM moments are filtered once, and the replaced-branch
+    output; each output is scored, keeping only its mean, before the next
+    step is read.  Strategies emitting the same image (equal ``output_key``)
+    share its score; the baseline against itself is exactly 1.
     """
+    steps = trace.config.steps
     ladder = list(ladder)
     for strategy in ladder:
-        strategy.validate_for(cfg.steps)
-    keys = {s.ident: output_key(s, cfg.steps) for s in ladder}
+        strategy.validate_for(steps)
+    keys = {s.ident: output_key(s, steps) for s in ladder}
     # the baseline's key sorts first: the last stop step, branch not replaced
-    order = sorted(set(keys.values()) | {output_key(Strategy.none(), cfg.steps)}, key=lambda key: (-key[0], key[1]))
-    steps = sorted({stop for stop, _ in order} | set(kept_steps), reverse=True)
-    kept: dict[int, np.ndarray] = {}
-
-    def step_outputs(k: int) -> list[np.ndarray]:
-        # a call of its own, so the step's branch images are freed before
-        # its outputs are scored
-        cond, _, combined = step_images(target, cfg, k)
-        if k in kept_steps:
-            kept[k] = combined
-        return [emitted_image(key, cond, combined, cfg) for key in order if key[0] == k]
-
-    images = (img for k in steps for img in step_outputs(k))
+    order = sorted(set(keys.values()) | {output_key(Strategy.none(), steps)}, key=lambda key: (-key[0], key[1]))
+    images = (img for _, group in groupby(order, key=itemgetter(0)) for img in _step_outputs(trace, list(group)))
     baseline = next(images)
-    # map() drops each SSIM map before the next is built; draining `images`
-    # also builds the kept steps that no output stops at
+    # map() drops each SSIM map before the next is built
     scores = [1.0] + [float(v) for v in map(np.mean, ssim_maps(baseline, images, ssim_params))]
     by_key = dict(zip(order, scores))
-    return {ident: by_key[key] for ident, key in keys.items()}, kept
+    return {ident: by_key[key] for ident, key in keys.items()}
+
+
+def _step_outputs(trace: StepTrace, keys: list[tuple[int, bool]]) -> list[np.ndarray]:
+    """The images emitted under ``keys``, which share one stop step; the step
+    is released before they are scored."""
+    outputs = [decode_final(trace, *key) for key in keys]
+    trace.release(keys[0][0])
+    return outputs
 
 
 def strategy_fidelity(
     target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy], ssim_params: SsimParams
 ) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output."""
-    return _simulate(target, cfg, ladder, ssim_params)[0]
+    return _simulate(StepTrace(target, cfg), ladder, ssim_params)
 
 
 def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) -> str:
@@ -112,14 +104,13 @@ def label_sample(
 ) -> LabeledSample:
     """Simulate every ladder strategy and label by first-above-threshold.
 
-    The features come from the same step images as the outputs, so each
-    step is built once; they equal ``features.decision_features`` bit for
-    bit.
+    The features and the outputs read one trace, so each step is built
+    once; the features equal ``features.decision_features`` bit for bit.
     """
-    steps = feature_steps(cfg, pcfg.decision_step)
-    ssims, kept = _simulate(target, cfg, pcfg.ladder, pcfg.ssim, steps)
+    trace = StepTrace(target, cfg)
+    feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
+    ssims = _simulate(trace, pcfg.ladder, pcfg.ssim)
     label = assign_label(ssims, ordered_ladder_ids(cfg, pcfg), tau)
-    feats = step_features(kept[steps[0]], kept[steps[1]], pcfg.analysis_size, pcfg.hf)
     return LabeledSample(sample_id=sample_id, features=feats, label=label, ssims=ssims)
 
 

@@ -3,6 +3,9 @@
 A run executes the low-frequency steps 1..N, computes the two frequency
 features from the decision-step image and the cached previous step, asks the
 decision model for a strategy, and completes the remaining steps under it.
+All of a sample's steps are read from one lazy
+:class:`~freqskip.generator.StepTrace`, so a step the features built is not
+built again for the output, the baseline or the evaluation probe.
 Reported cost counts every executed branch pass at its step weight (halved
 steps count once, skipped steps not at all) plus a fixed decision-overhead
 fraction of the baseline.
@@ -22,12 +25,12 @@ import numpy as np
 
 from .corpus import _map_jobs, default_ids
 from .decision import FeatureVector, TrainedModel, predict, train_forest, train_logreg, train_tree, train_two_stage
-from .features import decision_features
+from .features import step_features
 from .frequency import HFParams, hf_ratio
-from .generator import TargetSpec, TraceConfig, synth_target
+from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
 from .labeling import SENSITIVITY_PROBE, build_dataset
 from .metrics import HfMaskParams, SsimParams, hf_mean, ssim_map, ssim_maps
-from .strategies import DEFAULT_LADDER, CostModel, Strategy, apply_strategy, output_key, parse_strategy, speedup
+from .strategies import DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy, speedup
 
 
 @dataclass(frozen=True)
@@ -108,48 +111,50 @@ def run_accelerated(
     compute_baseline: bool = False,
 ) -> tuple[np.ndarray, RunReport]:
     """One adaptive generation run; returns the output image and its report."""
+    trace = StepTrace(target, cfg)
+    out, report = _run(trace, pcfg, model, force_strategy)
+    if compute_baseline:
+        ssim_val, ssim_hf_val, _ = _score(trace, pcfg, out)
+        report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
+    return out, report
+
+
+def _run(
+    trace: StepTrace, pcfg: PipelineConfig, model: TrainedModel | None, force_strategy: Strategy | None = None
+) -> tuple[np.ndarray, RunReport]:
+    """:func:`run_accelerated` without baseline scores, reading its steps
+    from ``trace``: the features read the decision step and the one before
+    it, and the output is read from the strategy's stop step."""
+    cfg = trace.config
     pcfg.validate_for(cfg)
     if model is None and force_strategy is None:
         raise ValueError("need a decision model or a forced strategy")
     if model is not None:
         _check_model(model, pcfg)
-    feats = decision_features(target, cfg, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
+    feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
     if force_strategy is not None:
         force_strategy.validate_for(cfg.steps)
         strategy = force_strategy
     else:
         strategy = parse_strategy(predict(model, feats))
-    out, raw_cost = apply_strategy(target, cfg, strategy)
+    out = decode_final(trace, *output_key(strategy, cfg.steps))
     cm = pcfg.cost_model(cfg)
-    cost = raw_cost + pcfg.overhead * cm.baseline_cost
-    spd = speedup(cm, strategy)
-    ssim_val = ssim_hf_val = None
-    if compute_baseline:
-        ssim_val, ssim_hf_val, _ = _score(target, cfg, pcfg, strategy, out)
     report = RunReport(
         strategy=strategy.ident,
         features=feats,
-        cost=cost,
-        speedup=spd,
-        ssim=ssim_val,
-        ssim_hf=ssim_hf_val,
+        cost=cm.strategy_cost(strategy) + pcfg.overhead * cm.baseline_cost,
+        speedup=speedup(cm, strategy),
     )
     return out, report
 
 
 def _score(
-    target: np.ndarray,
-    cfg: TraceConfig,
-    pcfg: PipelineConfig,
-    strategy: Strategy,
-    out: np.ndarray,
-    probe: np.ndarray | None = None,
+    trace: StepTrace, pcfg: PipelineConfig, out: np.ndarray, probe: np.ndarray | None = None
 ) -> tuple[float, float, float | None]:
-    """SSIM and SSIM-HF of the strategy's output ``out`` against the baseline
+    """SSIM and SSIM-HF of the output ``out`` against the trace's baseline
     output, both taken from one SSIM map, and the SSIM of ``probe`` against
     the same baseline if given (the baseline's moments filtered once)."""
-    same = output_key(strategy, cfg.steps) == output_key(Strategy.none(), cfg.steps)
-    baseline = out if same else apply_strategy(target, cfg, Strategy.none())[0]
+    baseline = trace.final
     probe_ssim = None
     if probe is None:
         smap = ssim_map(baseline, out, pcfg.ssim)
@@ -217,14 +222,15 @@ class EvalResult:
 def _evaluate_spec(
     spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel
 ) -> tuple[RunReport, float]:
-    """One sample's report with baseline scores, and its probe SSIM."""
-    target = synth_target(spec, cfg.full_size)
-    out, report = run_accelerated(target, cfg, pcfg, model)
-    strategy = parse_strategy(report.strategy)
+    """One sample's report with baseline scores, and its probe SSIM, all
+    read from one trace."""
+    trace = StepTrace(synth_target(spec, cfg.full_size), cfg)
+    out, report = _run(trace, pcfg, model)
+    probe_key = output_key(SENSITIVITY_PROBE, cfg.steps)
     probe = None
-    if output_key(SENSITIVITY_PROBE, cfg.steps) != output_key(strategy, cfg.steps):
-        probe, _ = apply_strategy(target, cfg, SENSITIVITY_PROBE)
-    ssim_val, ssim_hf_val, probe_ssim = _score(target, cfg, pcfg, strategy, out, probe)
+    if probe_key != output_key(parse_strategy(report.strategy), cfg.steps):
+        probe = decode_final(trace, *probe_key)
+    ssim_val, ssim_hf_val, probe_ssim = _score(trace, pcfg, out, probe)
     report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
     return report, ssim_val if probe_ssim is None else probe_ssim
 
@@ -324,14 +330,11 @@ def feature_reliability(
 
     Returns (correlation, pairs) with pairs of shape (n, 2).
     """
-    size = cfg.full_size
     pairs = []
     for spec in specs:
-        target = synth_target(spec, size)
-        feats = decision_features(target, cfg, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
-        baseline, _ = apply_strategy(target, cfg, Strategy.none())
-        final_ratio = hf_ratio(baseline, pcfg.hf)
-        pairs.append((feats.hf_ratio, final_ratio))
+        trace = StepTrace(synth_target(spec, cfg.full_size), cfg)
+        feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
+        pairs.append((feats.hf_ratio, hf_ratio(trace.final, pcfg.hf)))
     arr = np.array(pairs)
     corr = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
     return corr, arr

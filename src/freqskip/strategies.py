@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import TraceConfig, step_images
-from .image import resize_bilinear
+from .generator import StepTrace, TraceConfig, decode_final
 
 _KINDS = ("none", "skip", "uncond", "hybrid")
 
@@ -193,22 +192,11 @@ def output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
     unconditional branch is replaced by the conditional one.
 
     The branch construction is step-local, so strategies with equal keys
-    emit bit-identical images (every ``uncond_n`` emits the same one).
+    emit bit-identical images (every ``uncond_n`` emits the same one);
+    ``generator.decode_final(trace, *key)`` is that image.
     """
     stop = steps - strategy.skip_n if strategy.kind in ("skip", "hybrid") else steps
     return stop, strategy.kind in ("uncond", "hybrid")
-
-
-def emitted_image(key: tuple[int, bool], cond: np.ndarray, combined: np.ndarray, cfg: TraceConfig) -> np.ndarray:
-    """The full-size image emitted under output key ``key`` from its stop
-    step's conditional and combined images: the clipped conditional branch
-    when the unconditional one is replaced, else the combined image,
-    bilinear-upsampled when the stop step is not the last."""
-    stop, replaced = key
-    out = np.clip(cond, 0.0, 1.0) if replaced else combined
-    if stop < cfg.steps:
-        out = resize_bilinear(out, cfg.full_size, cfg.full_size)
-    return out
 
 
 def apply_strategy(
@@ -218,10 +206,9 @@ def apply_strategy(
 
     Returns the full-resolution output image and the modeled cost (without
     decision overhead).  Only the emitting step named by :func:`output_key`
-    is computed; results are bit-identical to running the full trace.
+    is built, on a fresh trace; results are bit-identical to running the
+    full trace.
     """
     strategy.validate_for(cfg.steps)
-    key = output_key(strategy, cfg.steps)
-    cond, _, combined = step_images(target, cfg, key[0])
     cm = CostModel(weights=cfg.cost_weights, overhead=0.0)
-    return emitted_image(key, cond, combined, cfg), cm.strategy_cost(strategy)
+    return decode_final(StepTrace(target, cfg), *output_key(strategy, cfg.steps)), cm.strategy_cost(strategy)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freqskip import generator
 from freqskip.corpus import default_corpus
 from freqskip.frequency import HFParams
 from freqskip.generator import TraceConfig, synth_target
@@ -37,3 +38,17 @@ def frozen_records(frozen_targets):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def step_builds(monkeypatch):
+    """Step numbers passed to ``generator.step_images`` during the test."""
+    built = []
+    original = generator.step_images
+
+    def counted(target, cfg, k):
+        built.append(k)
+        return original(target, cfg, k)
+
+    monkeypatch.setattr(generator, "step_images", counted)
+    return built

@@ -14,6 +14,7 @@ from freqskip.generator import (
     generate_trace,
     load_trace,
     save_trace,
+    step_images,
     synth_target,
 )
 from freqskip.image import ImageFormatError, save_image
@@ -167,6 +168,28 @@ class TestGenerateTrace:
     def test_wrong_target_size(self, rng):
         with pytest.raises(ValueError):
             generate_trace(rng.random((64, 64)), TraceConfig())
+
+
+class TestStepTrace:
+    def test_step_built_on_first_read_until_released(self, blob_target, step_builds):
+        trace = generate_trace(blob_target, TraceConfig(seed=3))
+        assert trace.baseline_cost == pytest.approx(2.0, abs=1e-12)
+        assert step_builds == []
+        first = trace.step(9)
+        assert trace.step(9) is first
+        assert step_builds == [9]
+        trace.release(9)
+        again = trace.step(9)
+        assert step_builds == [9, 9]
+        for a, b in ((first.cond, again.cond), (first.uncond, again.uncond), (first.combined, again.combined)):
+            assert a is not b and np.array_equal(a, b)
+
+    def test_records_equal_step_images(self, blob_target):
+        cfg = TraceConfig(seed=3)
+        trace = generate_trace(blob_target, cfg)
+        for k, rec in enumerate(trace.records, start=1):
+            for a, b in zip((rec.cond, rec.uncond, rec.combined), step_images(blob_target, cfg, k)):
+                assert np.array_equal(a, b)
 
 
 class TestBranchGap:

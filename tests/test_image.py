@@ -71,6 +71,14 @@ class TestResizeArea:
         out = resize_area(img, ow, oh)
         assert out.mean() == pytest.approx(img.mean(), rel=1e-6, abs=1e-12)
 
+    @given(img=small_images(min_side=1, max_side=12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mean_preserved_any_size(self, img, data):
+        h, w = img.shape
+        oh = data.draw(st.integers(1, h), label="oh")
+        ow = data.draw(st.integers(1, w), label="ow")
+        assert resize_area(img, ow, oh).mean() == pytest.approx(img.mean(), rel=1e-6, abs=1e-12)
+
     @given(img=small_images(min_side=2, max_side=9), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_oracle(self, img, data):

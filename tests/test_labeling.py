@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_PIPELINE, FROZEN_TAUS, FROZEN_TRACE
-from freqskip import labeling
 from freqskip.corpus import blob_corpus, default_corpus
 from freqskip.features import decision_features
-from freqskip.generator import TargetSpec, step_images, synth_target
+from freqskip.generator import TargetSpec, synth_target
 from freqskip.metrics import ssim
 from freqskip.strategies import DEFAULT_LADDER, Strategy, apply_strategy
 from freqskip.labeling import (
@@ -84,14 +83,8 @@ class TestOnePassLabeling:
             )
             assert strategy_fidelity(target, FROZEN_TRACE, pcfg.ladder, pcfg.ssim) == sample.ssims
 
-    def test_each_step_built_once(self, frozen_targets, monkeypatch):
-        built = []
-
-        def counted(target, cfg, k):
-            built.append(k)
-            return step_images(target, cfg, k)
-
-        monkeypatch.setattr(labeling, "step_images", counted)
+    def test_each_step_built_once(self, frozen_targets, step_builds):
+        built = step_builds
         label_sample(frozen_targets[0], FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
         # baseline and uncond_n at 12, skip_1/2/3 at 11/10/9, features at 9 and 8
         assert sorted(built) == [8, 9, 10, 11, 12]

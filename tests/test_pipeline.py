@@ -160,6 +160,25 @@ class TestRunAccelerated:
                 assert report.ssim_hf == ssim_hf(baseline, out, FROZEN_PIPELINE.ssim, FROZEN_PIPELINE.hf_mask)
 
 
+class TestStepBuilds:
+    """Each sample's run reads its generator steps from one trace: the
+    features build steps 9 and 8, the output and baseline reuse them."""
+
+    @pytest.mark.parametrize(
+        "strategy, expected", [(Strategy.skip(3), [8, 9]), (Strategy.uncond(3), [8, 9, 12])], ids=["skip_3", "uncond_3"]
+    )
+    def test_run_builds_each_step_once(self, step_builds, strategy, expected):
+        target = synth_target(TargetSpec(seed=4, blobs=3), 256)
+        run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy)
+        assert sorted(step_builds) == expected
+
+    @pytest.mark.parametrize("ident", ["skip_3", "uncond_3"])
+    def test_evaluate_builds_each_step_once(self, step_builds, ident):
+        # the probe (skip_3) and the baseline (step 12) come from the same trace
+        evaluate(default_corpus(1, seed=0), FROZEN_TRACE, FROZEN_PIPELINE, constant_model(ident))
+        assert sorted(step_builds) == [8, 9, 12]
+
+
 class TestFixedHybridSchedule:
     def test_hybrid_runs_with_earlier_decision_step(self):
         # skip the final two steps, replace the unconditional branch on the
