@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -93,10 +94,13 @@ class RunConfig:
             raise ConfigError(f"{path}: malformed JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        hints = typing.get_type_hints(RunConfig)
         for key, value in data.items():
-            if key not in known:
+            if key not in fields:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
+            if not _json_fits(value, hints[key]):
+                raise ConfigError(f"{path}: config key {key!r} must be {fields[key].type}, got {value!r}")
             if isinstance(value, list):
                 value = tuple(value)
             setattr(cfg, key, value)
@@ -164,6 +168,14 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+
+
+def _json_fits(value: object, hint: type) -> bool:
+    """Whether a JSON value has the field type ``hint``: an int is not a bool,
+    a float may be an int, and a tuple is a list of its element type."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_fits(v, typing.get_args(hint)[0]) for v in value)
+    return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
 
 
 def _write_json(obj: dict, path: str) -> None:

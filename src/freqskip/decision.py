@@ -4,12 +4,18 @@ Three classifier families are available: multinomial logistic regression
 (full-batch gradient descent, deterministic zero init), a CART decision tree
 (Gini impurity, midpoint thresholds), and a random forest (seeded bootstrap
 plus per-split feature subsets).  A fitted model carries its feature
-standardizer and the ordered class list (the strategy ladder, most to least
-aggressive) it predicts over; ties anywhere resolve toward the less
-aggressive class, i.e. the later list position.
+standardizer and the class list it predicts over, in the order it was
+trained with; ties anywhere resolve toward the later list position.  That
+is the less aggressive class only when the list follows
+``strategies.ladder_order``: ``freqskip train`` passes the config ladder as
+written, so with the default ladder a tie between ``skip_1`` and
+``uncond_3`` resolves to ``uncond_3``, the rung with the higher modeled
+speedup.
 
 Models serialize to a versioned JSON file; a round-trip preserves all
-predictions bit-exactly.
+predictions bit-exactly.  Loading checks every field's type and every tree's
+shape, so a malformed file raises :class:`ModelFormatError`, and tree walks
+always end: each internal node's children are later nodes.
 """
 
 from __future__ import annotations
@@ -213,7 +219,7 @@ def _gini(counts: np.ndarray) -> float:
 
 
 def _majority(y_idx: np.ndarray, n_classes: int) -> int:
-    # ties resolve toward the later (less aggressive) class index
+    # ties resolve toward the later class index
     counts = np.bincount(y_idx, minlength=n_classes)
     best = counts.max()
     return int(np.max(np.where(counts == best)[0]))
@@ -409,7 +415,8 @@ def _last_argmax(values: np.ndarray) -> int:
 
 
 def predict(model: TrainedModel, features: FeatureVector) -> str:
-    """Predicted strategy identifier; ties resolve to the less aggressive class."""
+    """Predicted strategy identifier; ties resolve to the later class in
+    ``model.classes``."""
     xs = model.standardizer.apply(features.as_array())
     if model.kind == "logreg":
         probs = predict_proba(model, features)
@@ -442,12 +449,33 @@ def _std_to_json(std: Standardizer) -> dict:
     }
 
 
+_NUMBER = (int, float)
+
+
+def _is(value: object, kind) -> bool:
+    # JSON true/false load as bool, a subclass of int; they count only as bool
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _field(obj: object, key: str, kind, item=None):
+    """``obj[key]`` if it is a ``kind`` (a list of ``item`` when given)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not _is(value, kind) or (item is not None and not all(_is(v, item) for v in value)):
+        raise ModelFormatError(f"model field {key!r} is missing or has the wrong type")
+    return value
+
+
+def _same_length(what: str, *arrays: list) -> int:
+    if len({len(a) for a in arrays}) != 1:
+        raise ModelFormatError(f"{what} arrays differ in length")
+    return len(arrays[0])
+
+
 def _std_from_json(obj: dict) -> Standardizer:
-    return Standardizer(
-        means=tuple(obj["means"]),
-        stds=tuple(obj["stds"]),
-        zero_variance=tuple(bool(z) for z in obj["zero_variance"]),
-    )
+    means, stds = _field(obj, "means", list, _NUMBER), _field(obj, "stds", list, _NUMBER)
+    zero_variance = _field(obj, "zero_variance", list, bool)
+    _same_length("standardizer", means, stds, zero_variance)
+    return Standardizer(means=tuple(means), stds=tuple(stds), zero_variance=tuple(zero_variance))
 
 
 def _tree_to_json(nodes: TreeNodes) -> dict:
@@ -460,14 +488,26 @@ def _tree_to_json(nodes: TreeNodes) -> dict:
     }
 
 
-def _tree_from_json(obj: dict) -> TreeNodes:
-    return TreeNodes(
-        feature=tuple(obj["feature"]),
-        threshold=tuple(obj["threshold"]),
-        left=tuple(obj["left"]),
-        right=tuple(obj["right"]),
-        leaf_class=tuple(obj["leaf_class"]),
-    )
+def _tree_from_json(obj: dict, n_classes: int, n_features: int) -> TreeNodes:
+    """The tree's node arrays, checked to be the pre-order ``_TreeBuilder``
+    writes: a leaf's class is in range, and an internal node (leaf class < 0)
+    splits on a known feature into two later nodes."""
+    arrays = {
+        key: _field(obj, key, list, _NUMBER if key == "threshold" else int)
+        for key in ("feature", "threshold", "left", "right", "leaf_class")
+    }
+    n = _same_length("tree", *arrays.values())
+    if n == 0:
+        raise ModelFormatError("tree has no nodes")
+    nodes = TreeNodes(**{key: tuple(values) for key, values in arrays.items()})
+    for i in range(n):
+        if nodes.leaf_class[i] >= n_classes:
+            raise ModelFormatError(f"tree node {i}: leaf class {nodes.leaf_class[i]} is not one of {n_classes} classes")
+        if nodes.leaf_class[i] < 0 and not (
+            0 <= nodes.feature[i] < n_features and i < nodes.left[i] < n and i < nodes.right[i] < n
+        ):
+            raise ModelFormatError(f"tree node {i}: split must name a feature and two later nodes")
+    return nodes
 
 
 def _model_to_json(model: TrainedModel) -> dict:
@@ -498,34 +538,40 @@ def _model_from_json(obj: dict) -> TrainedModel:
         raise ModelFormatError("not a model file (missing version field)")
     if obj["version"] != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {obj['version']!r}")
-    kind = obj.get("kind")
-    classes = tuple(obj["classes"])
-    std = _std_from_json(obj["standardizer"])
-    params = obj["params"]
+    kind = _field(obj, "kind", str)
+    classes = tuple(_field(obj, "classes", list, str))
+    std = _std_from_json(_field(obj, "standardizer", dict))
+    params = _field(obj, "params", dict)
     if kind == "logreg":
+        weights, biases = _field(params, "weights", list, list), _field(params, "biases", list, _NUMBER)
+        if not all(_is(v, _NUMBER) for row in weights for v in row):
+            raise ModelFormatError("model field 'weights' is missing or has the wrong type")
+        _same_length("logreg class", classes, weights, biases)
+        _same_length("logreg feature", std.means, *weights)
         return TrainedModel(
             kind=kind,
             classes=classes,
             standardizer=std,
-            weights=np.array(params["weights"], dtype=np.float64),
-            biases=np.array(params["biases"], dtype=np.float64),
+            weights=np.array(weights, dtype=np.float64),
+            biases=np.array(biases, dtype=np.float64),
         )
     if kind == "tree":
-        return TrainedModel(kind=kind, classes=classes, standardizer=std, tree=_tree_from_json(params["tree"]))
+        tree = _tree_from_json(_field(params, "tree", dict), len(classes), len(std.means))
+        return TrainedModel(kind=kind, classes=classes, standardizer=std, tree=tree)
     if kind == "forest":
         return TrainedModel(
             kind=kind,
             classes=classes,
             standardizer=std,
-            trees=tuple(_tree_from_json(t) for t in params["trees"]),
-            forest_seed=params["seed"],
+            trees=tuple(_tree_from_json(t, len(classes), len(std.means)) for t in _field(params, "trees", list, dict)),
+            forest_seed=_field(params, "seed", int),
         )
     if kind == "two_stage":
         return TrainedModel(
             kind=kind,
             classes=classes,
             standardizer=std,
-            submodels=(_model_from_json(params["skip"]), _model_from_json(params["uncond"])),
+            submodels=tuple(_model_from_json(_field(params, key, dict)) for key in ("skip", "uncond")),
         )
     raise ModelFormatError(f"unknown model kind {kind!r}")
 

@@ -10,10 +10,11 @@ guidance factor:
     U_k = C_k + alpha * gamma**(k-1) * box3(noise_k)      (never clamped)
     I_k = clip(U_k + g * (C_k - U_k), 0, 1)
 
-Per-step compute is modeled by normalized weights w_k, one unit per branch,
+The config carries normalized per-step weights w_k, one unit per branch,
 calibrated so the last three steps carry a fixed share (0.69) of the
-baseline cost.  Identical (target, config) pairs always produce
-bit-identical traces.
+baseline cost; ``strategies.CostModel`` prices a run with them, and the
+generator only builds images.  Identical (target, config) pairs always
+produce bit-identical traces.
 
 A :class:`StepTrace` is one sample's run: it builds step k on first read,
 holds it until released, and is the one place features, emitted outputs,
@@ -26,6 +27,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,7 +210,13 @@ def _box3(x: np.ndarray) -> np.ndarray:
     return acc / 9.0
 
 
-def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class StepRecord(NamedTuple):
+    cond: np.ndarray
+    uncond: np.ndarray
+    combined: np.ndarray
+
+
+def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> StepRecord:
     """Conditional, unconditional, and combined images for step k (1-based).
 
     The combined image is clamped to [0, 1]; the branches are not.
@@ -223,15 +231,7 @@ def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> tuple[np.ndarra
         noise = np.random.default_rng((cfg.seed, _NOISE_STREAM, k)).standard_normal((r, r))
         uncond = cond + cfg.gap_alpha * cfg.gap_gamma ** (k - 1) * _box3(noise)
     combined = np.clip(uncond + cfg.guidance * (cond - uncond), 0.0, 1.0)
-    return cond, uncond, combined
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    cond: np.ndarray
-    uncond: np.ndarray
-    combined: np.ndarray
-    weight: float
+    return StepRecord(cond, uncond, combined)
 
 
 class StepTrace:
@@ -240,9 +240,14 @@ class StepTrace:
 
     Every consumer of a sample (features, emitted outputs, baseline, labels)
     reads its steps from one trace, so each step it needs is built once.
+    The target must be a 2-D ``full_size`` square.
     """
 
     def __init__(self, target: np.ndarray, config: TraceConfig) -> None:
+        target = require_gray(target, "target")
+        size = config.full_size
+        if target.shape != (size, size):
+            raise ValueError(f"target must be {size}x{size} for this config, got {target.shape}")
         self.target = target
         self.config = config
         self._built: dict[int, StepRecord] = {}
@@ -251,8 +256,7 @@ class StepTrace:
         """Step k (1-based), built through :func:`step_images` unless held."""
         rec = self._built.get(k)
         if rec is None:
-            cond, uncond, combined = step_images(self.target, self.config, k)
-            rec = self._built[k] = StepRecord(cond, uncond, combined, self.config.cost_weights[k - 1])
+            rec = self._built[k] = step_images(self.target, self.config, k)
         return rec
 
     def release(self, k: int) -> None:
@@ -267,17 +271,9 @@ class StepTrace:
     def final(self) -> np.ndarray:
         return self.step(self.config.steps).combined
 
-    @property
-    def baseline_cost(self) -> float:
-        return math.fsum(2.0 * w for w in self.config.cost_weights)
-
 
 def generate_trace(target: np.ndarray, cfg: TraceConfig) -> StepTrace:
     """The lazy K-step trace of a full-resolution square target."""
-    target = require_gray(target, "target")
-    size = cfg.full_size
-    if target.shape != (size, size):
-        raise ValueError(f"target must be {size}x{size} for this config, got {target.shape}")
     return StepTrace(target, cfg)
 
 
@@ -303,6 +299,9 @@ def decode_final(trace: StepTrace, stop_step: int, replaced: bool = False) -> np
     return resize_bilinear(out, size, size)
 
 
+_STEP_FILES = ("cond", "uncond", "comb")  # per-step file prefixes, in StepRecord order
+
+
 def save_trace(trace: StepTrace, dirpath: str | os.PathLike) -> None:
     """Write a trace directory: manifest.json + per-step raw-float images."""
     os.makedirs(dirpath, exist_ok=True)
@@ -321,10 +320,8 @@ def save_trace(trace: StepTrace, dirpath: str | os.PathLike) -> None:
         fh.write("\n")
     save_image(trace.target, os.path.join(dirpath, "target.f32"), "rawf32")
     for k in range(1, cfg.steps + 1):
-        rec = trace.step(k)
-        save_image(rec.cond, os.path.join(dirpath, f"cond_{k:02d}.f32"), "rawf32")
-        save_image(rec.uncond, os.path.join(dirpath, f"uncond_{k:02d}.f32"), "rawf32")
-        save_image(rec.combined, os.path.join(dirpath, f"comb_{k:02d}.f32"), "rawf32")
+        for prefix, img in zip(_STEP_FILES, trace.step(k)):
+            save_image(img, os.path.join(dirpath, f"{prefix}_{k:02d}.f32"), "rawf32")
 
 
 def load_trace(dirpath: str | os.PathLike) -> StepTrace:
@@ -342,10 +339,5 @@ def load_trace(dirpath: str | os.PathLike) -> StepTrace:
     )
     trace = StepTrace(load_image(os.path.join(dirpath, "target.f32")), cfg)
     for k in range(1, cfg.steps + 1):
-        trace._built[k] = StepRecord(
-            cond=load_image(os.path.join(dirpath, f"cond_{k:02d}.f32")),
-            uncond=load_image(os.path.join(dirpath, f"uncond_{k:02d}.f32")),
-            combined=load_image(os.path.join(dirpath, f"comb_{k:02d}.f32")),
-            weight=cfg.cost_weights[k - 1],
-        )
+        trace._built[k] = StepRecord(*(load_image(os.path.join(dirpath, f"{p}_{k:02d}.f32")) for p in _STEP_FILES))
     return trace

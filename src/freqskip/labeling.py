@@ -104,9 +104,12 @@ def label_sample(
 ) -> LabeledSample:
     """Simulate every ladder strategy and label by first-above-threshold.
 
-    The features and the outputs read one trace, so each step is built
-    once; the features equal ``features.decision_features`` bit for bit.
+    The config is checked as the run loop checks it, so no label names a
+    rung the run loop would reject.  The features and the outputs read one
+    trace, so each step is built once; the features equal
+    ``features.decision_features`` bit for bit.
     """
+    pcfg.validate_for(cfg)
     trace = StepTrace(target, cfg)
     feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
     ssims = _simulate(trace, pcfg.ladder, pcfg.ssim)

@@ -1,18 +1,18 @@
 """Acceleration strategies, their effect on a generation run, and cost math.
 
-Four strategy families act on the steps after the decision point:
+A strategy is a plan over the trailing steps of a K-step run, in branch
+passes per step (:meth:`Strategy.passes`)::
 
-* ``none``: run everything;
-* ``skip(n)``: stop n steps early and bilinear-upsample the last image;
-* ``uncond_replace(n)``: reuse the conditional branch as the unconditional
-  one for the final n steps, halving their per-step cost;
-* ``hybrid(skip_n, uncond_n)``: uncond replacement on the steps immediately
-  before a skipped tail block.
+    [2] * (K - skip_n - uncond_n) + [1] * uncond_n + [0] * skip_n
 
-Costs are modeled, not measured: each step costs 2*w_k at baseline (one pass
-per branch), w_k when its unconditional pass is replaced, and 0 when
-skipped.  Speedup is baseline / (accelerated + overhead * baseline), with a
-small configurable decision overhead.
+2 runs both branches, 1 reuses the conditional branch as the unconditional
+one, 0 skips the step.  The kind names the non-zero counts: ``none``,
+``skip`` (stop early and bilinear-upsample the last image), ``uncond`` or
+``hybrid``.  A plan fits a run when it touches at most K steps and leaves a
+full step if it skips any.  The image is emitted at the last step run.
+Costs are modeled, not measured: a step of p passes costs p*w_k, and
+speedup is baseline / (accelerated + overhead * baseline), with a small
+configurable decision overhead.
 """
 
 from __future__ import annotations
@@ -24,52 +24,53 @@ import numpy as np
 
 from .generator import StepTrace, TraceConfig, decode_final
 
-_KINDS = ("none", "skip", "uncond", "hybrid")
+# the family a strategy belongs to, by (skips any step, replaces any branch)
+_KIND_OF = {(False, False): "none", (True, False): "skip", (False, True): "uncond", (True, True): "hybrid"}
+
+
+def _at_least_one(name: str, n: int) -> int:
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
 class Strategy:
-    kind: str
+    """Skip the last ``skip_n`` steps; run the ``uncond_n`` steps before them
+    on the conditional branch only."""
+
     skip_n: int = 0
     uncond_n: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "none" and (self.skip_n or self.uncond_n):
-            raise ValueError("'none' takes no step counts")
-        if self.kind == "skip" and (self.skip_n < 1 or self.uncond_n):
-            raise ValueError("skip needs skip_n >= 1 and no uncond_n")
-        if self.kind == "uncond" and (self.uncond_n < 1 or self.skip_n):
-            raise ValueError("uncond needs uncond_n >= 1 and no skip_n")
-        if self.kind == "hybrid" and (self.skip_n < 1 or self.uncond_n < 1):
-            raise ValueError("hybrid needs skip_n >= 1 and uncond_n >= 1")
+        if self.skip_n < 0 or self.uncond_n < 0:
+            raise ValueError(f"step counts must be >= 0, got skip_n={self.skip_n} uncond_n={self.uncond_n}")
 
     @staticmethod
     def none() -> "Strategy":
-        return Strategy("none")
+        return Strategy()
 
     @staticmethod
     def skip(n: int) -> "Strategy":
-        return Strategy("skip", skip_n=n)
+        return Strategy(skip_n=_at_least_one("skip_n", n))
 
     @staticmethod
     def uncond(n: int) -> "Strategy":
-        return Strategy("uncond", uncond_n=n)
+        return Strategy(uncond_n=_at_least_one("uncond_n", n))
 
     @staticmethod
     def hybrid(skip_n: int, uncond_n: int) -> "Strategy":
-        return Strategy("hybrid", skip_n=skip_n, uncond_n=uncond_n)
+        return Strategy(_at_least_one("skip_n", skip_n), _at_least_one("uncond_n", uncond_n))
+
+    @property
+    def kind(self) -> str:
+        return _KIND_OF[self.skip_n > 0, self.uncond_n > 0]
 
     @property
     def ident(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "skip":
-            return f"skip_{self.skip_n}"
-        if self.kind == "uncond":
-            return f"uncond_{self.uncond_n}"
-        return f"hybrid_{self.skip_n}_{self.uncond_n}"
+        """'none', 'skip_3', 'uncond_2' or 'hybrid_2_2': the kind, then its
+        non-zero counts."""
+        return "_".join([self.kind, *(str(n) for n in (self.skip_n, self.uncond_n) if n)])
 
     @property
     def affected_steps(self) -> int:
@@ -77,31 +78,37 @@ class Strategy:
         return self.skip_n + self.uncond_n
 
     def validate_for(self, steps: int) -> None:
-        if self.kind == "skip" and self.skip_n > steps - 1:
-            raise ValueError(f"skip_{self.skip_n} leaves no steps for a {steps}-step run")
-        if self.kind == "uncond" and self.uncond_n > steps:
-            raise ValueError(f"uncond_{self.uncond_n} exceeds the {steps}-step run")
-        if self.kind == "hybrid" and self.skip_n + self.uncond_n > steps - 1:
-            raise ValueError(
-                f"hybrid_{self.skip_n}_{self.uncond_n} must touch at most {steps - 1} steps"
-            )
+        """Raise ValueError unless the plan fits a ``steps``-step run: it
+        touches at most ``steps`` steps, and leaves a full step if it skips."""
+        full = steps - self.affected_steps
+        if full < 0 or (self.skip_n and full < 1):
+            raise ValueError(f"{self.ident} does not fit {steps} steps (a skip must leave a full step)")
+
+    def passes(self, steps: int) -> list[int]:
+        """Branch passes run at each step: 2 baseline, 1 replaced, 0 skipped."""
+        self.validate_for(steps)
+        return [2] * (steps - self.affected_steps) + [1] * self.uncond_n + [0] * self.skip_n
+
+
+# kind -> (factory, number of counts its identifier carries)
+_FACTORIES = {
+    "none": (Strategy.none, 0),
+    "skip": (Strategy.skip, 1),
+    "uncond": (Strategy.uncond, 1),
+    "hybrid": (Strategy.hybrid, 2),
+}
 
 
 def parse_strategy(ident: str) -> Strategy:
     """Inverse of Strategy.ident ('none', 'skip_3', 'uncond_2', 'hybrid_2_2')."""
-    parts = ident.split("_")
+    kind, *counts = ident.split("_")
+    factory, arity = _FACTORIES.get(kind, (None, -1))
+    if len(counts) != arity:
+        raise ValueError(f"malformed strategy identifier {ident!r}")
     try:
-        if parts == ["none"]:
-            return Strategy.none()
-        if parts[0] == "skip" and len(parts) == 2:
-            return Strategy.skip(int(parts[1]))
-        if parts[0] == "uncond" and len(parts) == 2:
-            return Strategy.uncond(int(parts[1]))
-        if parts[0] == "hybrid" and len(parts) == 3:
-            return Strategy.hybrid(int(parts[1]), int(parts[2]))
+        return factory(*map(int, counts))
     except ValueError as exc:
         raise ValueError(f"malformed strategy identifier {ident!r}") from exc
-    raise ValueError(f"malformed strategy identifier {ident!r}")
 
 
 DEFAULT_LADDER = (
@@ -132,29 +139,12 @@ class CostModel:
     def steps(self) -> int:
         return len(self.weights)
 
-    def step_multipliers(self, strategy: Strategy) -> list[int]:
-        """Branch passes executed per step: 2 baseline, 1 replaced, 0 skipped."""
-        strategy.validate_for(self.steps)
-        k = self.steps
-        mult = [2] * k
-        if strategy.kind in ("skip", "hybrid"):
-            for i in range(k - strategy.skip_n, k):
-                mult[i] = 0
-        if strategy.kind == "uncond":
-            for i in range(k - strategy.uncond_n, k):
-                mult[i] = 1
-        elif strategy.kind == "hybrid":
-            for i in range(k - strategy.skip_n - strategy.uncond_n, k - strategy.skip_n):
-                mult[i] = 1
-        return mult
-
     @property
     def baseline_cost(self) -> float:
         return math.fsum(2.0 * w for w in self.weights)
 
     def strategy_cost(self, strategy: Strategy) -> float:
-        mult = self.step_multipliers(strategy)
-        return math.fsum(m * w for m, w in zip(mult, self.weights))
+        return math.fsum(p * w for p, w in zip(strategy.passes(self.steps), self.weights))
 
 
 def speedup(cm: CostModel, strategy: Strategy) -> float:
@@ -188,15 +178,14 @@ def ladder_order(cm: CostModel, ladder: tuple[Strategy, ...] | list[Strategy]) -
 
 
 def output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
-    """Which image a strategy emits: its stop step, and whether that step's
-    unconditional branch is replaced by the conditional one.
+    """Which image a strategy emits: its last step run, and whether that
+    step's unconditional branch is replaced by the conditional one.
 
     The branch construction is step-local, so strategies with equal keys
     emit bit-identical images (every ``uncond_n`` emits the same one);
     ``generator.decode_final(trace, *key)`` is that image.
     """
-    stop = steps - strategy.skip_n if strategy.kind in ("skip", "hybrid") else steps
-    return stop, strategy.kind in ("uncond", "hybrid")
+    return steps - strategy.skip_n, strategy.uncond_n > 0
 
 
 def apply_strategy(
@@ -209,6 +198,5 @@ def apply_strategy(
     is built, on a fresh trace; results are bit-identical to running the
     full trace.
     """
-    strategy.validate_for(cfg.steps)
-    cm = CostModel(weights=cfg.cost_weights, overhead=0.0)
-    return decode_final(StepTrace(target, cfg), *output_key(strategy, cfg.steps)), cm.strategy_cost(strategy)
+    cost = CostModel(weights=cfg.cost_weights, overhead=0.0).strategy_cost(strategy)
+    return decode_final(StepTrace(target, cfg), *output_key(strategy, cfg.steps)), cost

@@ -80,6 +80,26 @@ class TestExitCodes:
         cfg.write_text('{"gap_gamma": 1.5}')
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"corpus_size": 2.5},
+            {"tau": "0.8"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"corpus_kind": 3},
+            {"schedule": [8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256.0]},
+            {"ladder": "skip_3"},
+            {"ladder": ["skip_3", 2, "none"]},
+        ],
+        ids=["int_float", "float_str", "seed_float", "int_bool", "str_int", "tuple_item", "tuple_str", "ladder_item"],
+    )
+    def test_mistyped_config_value_is_2(self, tmp_path, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_corpus_is_3(self, tmp_path):
         assert run_cli("label", "--corpus", str(tmp_path / "nope"), "-o", str(tmp_path / "out")) == 3
 
@@ -90,6 +110,12 @@ class TestExitCodes:
             run_cli("run", "--model", str(bad), "--target", str(workspace / "corpus" / "s0000.f32"), "-o", str(tmp_path / "o"))
             == 3
         )
+
+    def test_malformed_model_file_is_3(self, tmp_path, workspace):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1}')
+        target = str(workspace / "corpus" / "s0000.f32")
+        assert run_cli("run", "--model", str(bad), "--target", target, "-o", str(tmp_path / "o")) == 3
 
     def test_jobs_below_one_is_2(self, workspace, tmp_path):
         for jobs in ("0", "-1"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,82 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text('{"version": 99, "kind": "logreg", "classes": [], "standardizer": {}, "params": {}}')
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @staticmethod
+    def _tree_model_json(tmp_path, rng):
+        x = np.vstack([rng.normal((0, 0), 0.5, (30, 2)), rng.normal((6, 6), 0.5, (30, 2))])
+        path = tmp_path / "model.json"
+        save_model(train_tree(x, ["skip_3"] * 30 + ["uncond_3"] * 30, CLASSES4), path)
+        return path, json.loads(path.read_text())
+
+    def test_self_loop_tree_rejected(self, tmp_path, rng):
+        path, body = self._tree_model_json(tmp_path, rng)
+        tree = body["params"]["tree"]
+        assert tree["leaf_class"][0] < 0
+        tree["left"][0] = 0
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError, match="node 0"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b.pop("classes"),
+            lambda b: b.update(classes="skip_3"),
+            lambda b: b["standardizer"].update(means=[0.0]),
+            lambda b: b["standardizer"]["zero_variance"].__setitem__(0, 0),
+            lambda b: b["params"].pop("tree"),
+            lambda b: b["params"]["tree"]["threshold"].pop(),
+            lambda b: b["params"]["tree"]["left"].__setitem__(0, len(b["params"]["tree"]["left"])),
+            lambda b: b["params"]["tree"]["feature"].__setitem__(0, 2),
+            lambda b: b["params"]["tree"]["leaf_class"].__setitem__(-1, 4),
+            lambda b: b["params"]["tree"]["leaf_class"].__setitem__(-1, 1.0),
+        ],
+        ids=[
+            "no_classes",
+            "classes_str",
+            "means_short",
+            "zero_variance_int",
+            "no_tree",
+            "threshold_short",
+            "child_out_of_range",
+            "feature_out_of_range",
+            "leaf_class_out_of_range",
+            "leaf_class_float",
+        ],
+    )
+    def test_malformed_tree_model_rejected(self, tmp_path, rng, corrupt):
+        path, body = self._tree_model_json(tmp_path, rng)
+        corrupt(body)
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p.update(weights=[[0.0, 0.0]]),
+            lambda p: p["weights"].__setitem__(0, [0.0]),
+            lambda p: p["weights"][0].__setitem__(0, "0"),
+            lambda p: p.update(biases=None),
+        ],
+        ids=["rows_short", "row_short", "weight_str", "biases_null"],
+    )
+    def test_malformed_logreg_model_rejected(self, tmp_path, corrupt):
+        model = TrainedModel(
+            kind="logreg",
+            classes=("skip_3", "none"),
+            standardizer=Standardizer.identity(2),
+            weights=np.zeros((2, 2)),
+            biases=np.zeros(2),
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        body = json.loads(path.read_text())
+        corrupt(body["params"])
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError):
             load_model(path)
 
     def test_malformed_json_rejected(self, tmp_path):

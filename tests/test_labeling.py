@@ -25,6 +25,22 @@ from freqskip.labeling import (
 REACHABLE_CLASSES = ("skip_3", "skip_2", "uncond_3")
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"decision_step": 12},
+        {"ladder": (Strategy.skip(4), Strategy.skip(3), Strategy.none())},
+    ],
+)
+def test_label_sample_rejects_configs_the_run_loop_rejects(changes):
+    pcfg = dataclasses.replace(FROZEN_PIPELINE, **changes)
+    target = synth_target(TargetSpec(seed=2), FROZEN_TRACE.full_size)
+    with pytest.raises(ValueError):
+        pcfg.validate_for(FROZEN_TRACE)
+    with pytest.raises(ValueError):
+        label_sample(target, FROZEN_TRACE, pcfg, 0.84)
+
+
 class TestAssignLabel:
     def test_first_above_threshold(self):
         ssims = {"skip_3": 0.80, "skip_2": 0.83, "uncond_3": 0.85, "uncond_2": 0.91, "none": 1.0}

@@ -9,7 +9,7 @@ from freqskip.corpus import default_corpus, family_a, family_b
 from freqskip.decision import Standardizer, TrainedModel, predict
 from freqskip.features import decision_features
 from freqskip.generator import TargetSpec, TraceConfig, generate_trace, synth_target
-from freqskip.labeling import SENSITIVITY_PROBE, assign_label, ordered_ladder_ids, strategy_fidelity
+from freqskip.labeling import SENSITIVITY_PROBE, assign_label, label_sample, ordered_ladder_ids, strategy_fidelity
 from freqskip.metrics import ssim, ssim_hf
 from freqskip.pipeline import (
     PipelineConfig,
@@ -20,6 +20,26 @@ from freqskip.pipeline import (
     train_from_samples,
 )
 from freqskip.strategies import Strategy, apply_strategy
+
+
+TARGET_ENTRIES = {
+    "run_accelerated": lambda t: run_accelerated(t, FROZEN_TRACE, FROZEN_PIPELINE, None, Strategy.skip(3)),
+    "decision_features": lambda t: decision_features(
+        t, FROZEN_TRACE, FROZEN_PIPELINE.decision_step, FROZEN_PIPELINE.analysis_size, FROZEN_PIPELINE.hf
+    ),
+    "apply_strategy": lambda t: apply_strategy(t, FROZEN_TRACE, Strategy.skip(3)),
+    "label_sample": lambda t: label_sample(t, FROZEN_TRACE, FROZEN_PIPELINE, 0.84),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TARGET_ENTRIES))
+@pytest.mark.parametrize(
+    "shape", [(300, 300), (256, 300), (200, 200), (256, 256, 3)], ids=lambda shape: "x".join(map(str, shape))
+)
+def test_entry_points_reject_targets_that_are_not_full_size(entry, shape):
+    target = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match="target"):
+        TARGET_ENTRIES[entry](target)
 
 
 def constant_model(ident: str) -> TrainedModel:
@@ -105,7 +125,7 @@ class TestRunAccelerated:
                 target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy
             )
             executed = math.fsum(
-                m * w for m, w in zip(cm.step_multipliers(strategy), cm.weights)
+                m * w for m, w in zip(strategy.passes(cm.steps), cm.weights)
             )
             assert report.cost == executed + FROZEN_PIPELINE.overhead * cm.baseline_cost
 

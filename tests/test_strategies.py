@@ -63,16 +63,87 @@ class TestStrategyType:
         for s in (Strategy.skip(n), Strategy.uncond(n)):
             assert parse_strategy(s.ident) == s
 
+    def test_hybrid_ident_parse_inverse(self):
+        for skip_n in range(1, 14):
+            for uncond_n in range(1, 14):
+                s = Strategy.hybrid(skip_n, uncond_n)
+                assert parse_strategy(s.ident) == s
+
+    @pytest.mark.parametrize("bad", [(0,), (-1,)], ids=["zero", "negative"])
+    def test_factories_reject_counts_below_one(self, bad):
+        for factory in (Strategy.skip, Strategy.uncond):
+            with pytest.raises(ValueError):
+                factory(*bad)
+        with pytest.raises(ValueError):
+            Strategy.hybrid(1, *bad)
+        with pytest.raises(ValueError):
+            Strategy.hybrid(*bad, 1)
+
+
+def reference_plan(skip_n: int, uncond_n: int, steps: int):
+    """The per-kind rules of a strategy tagged with its kind: its kind,
+    whether it fits ``steps``, its branch passes per step (None when it does
+    not fit), and its output key."""
+    kind = {(False, False): "none", (True, False): "skip", (False, True): "uncond"}.get(
+        (skip_n > 0, uncond_n > 0), "hybrid"
+    )
+    fits = {
+        "none": True,
+        "skip": skip_n <= steps - 1,
+        "uncond": uncond_n <= steps,
+        "hybrid": skip_n + uncond_n <= steps - 1,
+    }[kind]
+    stop = steps - skip_n if kind in ("skip", "hybrid") else steps
+    key = (stop, kind in ("uncond", "hybrid"))
+    if not fits:
+        return kind, fits, None, key
+    mult = [2] * steps
+    if kind in ("skip", "hybrid"):
+        for i in range(steps - skip_n, steps):
+            mult[i] = 0
+    if kind == "uncond":
+        for i in range(steps - uncond_n, steps):
+            mult[i] = 1
+    elif kind == "hybrid":
+        for i in range(steps - skip_n - uncond_n, steps - skip_n):
+            mult[i] = 1
+    return kind, fits, mult, key
+
+
+class TestPassPlanEquivalence:
+    @pytest.mark.parametrize("steps", range(4, 14))
+    def test_plan_matches_per_kind_rules(self, steps):
+        factories = {
+            "none": lambda s, u: Strategy.none(),
+            "skip": lambda s, u: Strategy.skip(s),
+            "uncond": lambda s, u: Strategy.uncond(u),
+            "hybrid": Strategy.hybrid,
+        }
+        for skip_n in range(14):
+            for uncond_n in range(14):
+                kind, fits, mult, key = reference_plan(skip_n, uncond_n, steps)
+                s = factories[kind](skip_n, uncond_n)
+                assert (s.kind, s.skip_n, s.uncond_n) == (kind, skip_n, uncond_n)
+                assert output_key(s, steps) == key
+                if fits:
+                    s.validate_for(steps)
+                    assert s.passes(steps) == mult
+                else:
+                    with pytest.raises(ValueError):
+                        s.validate_for(steps)
+                    with pytest.raises(ValueError):
+                        s.passes(steps)
+
 
 class TestCostModel:
     def test_baseline_is_two(self, cost_model):
         assert cost_model.baseline_cost == pytest.approx(2.0, abs=1e-12)
 
     def test_multipliers(self, cost_model):
-        assert cost_model.step_multipliers(Strategy.none()) == [2] * 12
-        assert cost_model.step_multipliers(Strategy.skip(3))[-3:] == [0, 0, 0]
-        assert cost_model.step_multipliers(Strategy.uncond(2))[-2:] == [1, 1]
-        hybrid = cost_model.step_multipliers(Strategy.hybrid(2, 2))
+        assert Strategy.none().passes(cost_model.steps) == [2] * 12
+        assert Strategy.skip(3).passes(cost_model.steps)[-3:] == [0, 0, 0]
+        assert Strategy.uncond(2).passes(cost_model.steps)[-2:] == [1, 1]
+        hybrid = Strategy.hybrid(2, 2).passes(cost_model.steps)
         assert hybrid[-4:] == [1, 1, 0, 0]
 
     def test_cost_additivity_exact(self, cost_model):
