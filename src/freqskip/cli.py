@@ -288,7 +288,7 @@ def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, kind: str | 
         for sid, row, lab in zip(feat_ids, x, labels)
     ]
     train_idx, val_idx = split_train_val(len(samples), cfg.train_ratio, cfg.split_seed)
-    classes = tuple(cfg.ladder)
+    classes = tuple(cfg.pipeline_config().ladder_ids())
     model = train_from_samples([samples[i] for i in train_idx], classes, kind)
     train_acc = float(
         np.mean([predict(model, samples[i].features) == samples[i].label for i in train_idx])

@@ -153,3 +153,32 @@ def l1_naive(a, b):
         for x in range(a.shape[1]):
             total += abs(a[y, x] - b[y, x])
     return total / a.size
+
+
+def bilinear_positions_naive(n_in, n_out):
+    """Edge-aligned sample positions: i*(n_in-1)/(n_out-1), the last one
+    pinned to n_in-1, and the midline for a single sample."""
+    if n_out == 1:
+        return [(n_in - 1) / 2.0]
+    step = (n_in - 1) / (n_out - 1)
+    return [i * step for i in range(n_out - 1)] + [float(n_in - 1)]
+
+
+def bilinear_resize_naive(img, w, h):
+    """Bilinear resize pixel by pixel from the four-corner formula."""
+    h_in, w_in = img.shape
+    xs = bilinear_positions_naive(w_in, w)
+    ys = bilinear_positions_naive(h_in, h)
+    out = np.zeros((h, w))
+    for oy, y in enumerate(ys):
+        y0 = int(math.floor(y))
+        y1 = min(y0 + 1, h_in - 1)
+        fy = y - y0
+        for ox, x in enumerate(xs):
+            x0 = int(math.floor(x))
+            x1 = min(x0 + 1, w_in - 1)
+            fx = x - x0
+            top = float(img[y0, x0]) * (1.0 - fx) + float(img[y0, x1]) * fx
+            bot = float(img[y1, x0]) * (1.0 - fx) + float(img[y1, x1]) * fx
+            out[oy, ox] = top * (1.0 - fy) + bot * fy
+    return out

@@ -238,6 +238,21 @@ class TestTrainCommand:
         assert "train_accuracy=1.0000" in out
         assert "val_accuracy=1.0000" in out
 
+    def test_non_canonical_ladder_trains_canonical_classes(self, workspace, tmp_path):
+        # "skip_03" parses as skip_3; the labels name canonical ids, so the
+        # model's classes must be the canonical ids too
+        ladder = ["skip_03" if s == "skip_3" else s for s in RunConfig().ladder]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ladder": ladder}))
+        labels = workspace / "labels"
+        out = tmp_path / "m"
+        argv = ["train", "-c", str(cfg), "--features", str(labels / "features.csv"), "--labels", str(labels / "labels.csv")]
+        assert run_cli(*argv, "-o", str(out)) == 0
+        from freqskip.decision import load_model
+
+        assert load_model(out / "model.json").classes == RunConfig().ladder
+        assert (out / "model.json").read_bytes() == (workspace / "model" / "model.json").read_bytes()
+
 
 class TestRunCommand:
     def test_emits_image_and_report(self, workspace, tmp_path):

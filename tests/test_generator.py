@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freqskip import generator, image
 from freqskip.frequency import HFParams, hf_ratio
 from freqskip.generator import (
     DEFAULT_SCHEDULE,
@@ -17,7 +18,7 @@ from freqskip.generator import (
     step_images,
     synth_target,
 )
-from freqskip.image import ImageFormatError, save_image
+from freqskip.image import ImageFormatError, resize_area, save_image
 from freqskip.metrics import l1_mean, ssim
 
 from oracles import hf_ratio_naive
@@ -187,6 +188,62 @@ class TestStepTrace:
         for k, rec in enumerate(trace.records, start=1):
             for a, b in zip((rec.cond, rec.uncond, rec.combined), step_images(blob_target, cfg, k)):
                 assert np.array_equal(a, b)
+
+
+class TestProcessConstants:
+    """The step perturbation and the area weights are built once per process."""
+
+    @staticmethod
+    def inline_uncond(target, cfg, k):
+        r = cfg.schedule[k - 1]
+        noise = np.random.default_rng((cfg.seed, 1, k)).standard_normal((r, r))
+        return resize_area(target, r, r) + cfg.gap_alpha * cfg.gap_gamma ** (k - 1) * generator._box3(noise)
+
+    @pytest.mark.parametrize(
+        "cfg", [TraceConfig(seed=0), TraceConfig(seed=13), TraceConfig(seed=5, gap_alpha=0.3, gap_gamma=0.45)]
+    )
+    def test_step_equals_inline_draw_cold_and_warm(self, blob_target, cfg):
+        generator._perturbation.cache_clear()
+        image._area_weights.cache_clear()
+        for k in (1, 8, 9, cfg.steps):
+            expected = self.inline_uncond(blob_target, cfg, k)
+            for _ in range(2):
+                rec = step_images(blob_target, cfg, k)
+                assert np.array_equal(rec.uncond, expected)
+                assert np.array_equal(rec.combined, np.clip(expected + cfg.guidance * (rec.cond - expected), 0.0, 1.0))
+
+    @pytest.mark.parametrize("change", [{"seed": 1}, {"gap_alpha": 0.2}, {"gap_gamma": 0.5}])
+    def test_configs_differing_in_one_field_get_different_perturbations(self, blob_target, change):
+        base = TraceConfig(seed=0)
+        other = TraceConfig(**{"seed": 0, **change})
+        a = step_images(blob_target, base, 9)
+        b = step_images(blob_target, other, 9)
+        assert np.array_equal(a.cond, b.cond)
+        assert not np.array_equal(a.uncond - a.cond, b.uncond - b.cond)
+
+    def test_alpha_zero_uncond_equals_cond_after_warm_memo(self, blob_target):
+        step_images(blob_target, TraceConfig(seed=3), 9)
+        rec = step_images(blob_target, TraceConfig(seed=3, gap_alpha=0.0), 9)
+        assert np.array_equal(rec.uncond, rec.cond)
+
+    def test_memoized_arrays_are_read_only(self):
+        offset = generator._perturbation(0, 0.15, 0.6, 9, 160)
+        weights = image._area_weights(256, 160)
+        for arr in (offset, weights):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
+        assert image._area_weights(256, 160) is weights
+
+    def test_returned_uncond_is_fresh_and_writable(self, blob_target):
+        cfg = TraceConfig(seed=3)
+        rec = step_images(blob_target, cfg, 9)
+        offset = generator._perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, 9, 160)
+        assert rec.uncond.flags.writeable
+        assert not np.shares_memory(rec.uncond, offset)
+        kept = rec.uncond.copy()
+        rec.uncond[:] = 0.0
+        assert np.array_equal(step_images(blob_target, cfg, 9).uncond, kept)
 
 
 class TestBranchGap:

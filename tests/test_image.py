@@ -13,7 +13,7 @@ from freqskip.image import (
     to_grayscale,
 )
 
-from oracles import area_resize_naive
+from oracles import area_resize_naive, bilinear_resize_naive
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, width=64)
 
@@ -115,6 +115,28 @@ class TestResizeBilinear:
         assert out.shape == (oh, ow)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
+
+    @given(
+        img=small_images(min_side=1, max_side=9),
+        ow=st.one_of(st.just(1), st.integers(1, 14)),
+        oh=st.one_of(st.just(1), st.integers(1, 14)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_four_corner_oracle_exactly(self, img, ow, oh):
+        assert np.array_equal(resize_bilinear(img, ow, oh), bilinear_resize_naive(img, ow, oh))
+
+    @pytest.mark.parametrize(
+        "shape, width, height",
+        [((1, 1), 1, 1), ((1, 1), 5, 3), ((1, 6), 4, 1), ((6, 1), 1, 4), ((1, 6), 9, 5), ((6, 1), 5, 9), ((4, 7), 1, 1)],
+    )
+    def test_one_pixel_row_or_column_equals_oracle_exactly(self, rng, shape, width, height):
+        img = rng.random(shape)
+        assert np.array_equal(resize_bilinear(img, width, height), bilinear_resize_naive(img, width, height))
+
+    @pytest.mark.parametrize("r", [128, 160, 192, 224])
+    def test_run_loop_upsamples_equal_oracle_exactly(self, rng, r):
+        img = rng.random((r, r))
+        assert np.array_equal(resize_bilinear(img, 256, 256), bilinear_resize_naive(img, 256, 256))
 
 
 class TestRawFloatFormat:

@@ -16,6 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("redundancy_study.py", ["--seeds", "2"]),
         ("tau_sweep.py", ["--corpus-size", "16"]),
         ("run_workflow.py", ["{tmp}", "--corpus-size", "16"]),
+        ("layer_times.py", ["--calls", "1"]),
     ],
 )
 def test_script_exits_zero(script, args, tmp_path):
