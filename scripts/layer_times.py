@@ -4,16 +4,19 @@
 Times each layer named by ROADMAP aim 1 (``synth_target``, ``resize_area``,
 ``resize_bilinear``, ``step_images``, ``sobel_magnitude``, ``dft2``,
 ``hf_diff``/``hf_ratio``, ``ssim_map``, ``decision_features``, ``predict``,
-``label_sample``, ``run_accelerated``) as a ``perf_counter`` mean over
-``--calls`` calls, after one warm-up call, with one BLAS thread.  The
-target is sample 0 of the frozen corpus (``default_corpus(200, seed)``).
+``label_sample``, ``run_accelerated``), and ``gaussian_filter`` at SSIM's
+radius 5 and at ``synth_target``'s widest noise octave (radius 29), as a
+``perf_counter`` mean over ``--calls`` calls, after one warm-up call, with
+one BLAS thread.  The target is sample 0 of the frozen corpus
+(``default_corpus(200, seed)``).
 
 Two columns: ``cold`` empties the process-wide memos (the step
-perturbations and the area-resize weights) before every call, outside the
-timed region; ``warm`` keeps them, as a long-lived process does.  The
-model for ``predict`` and ``run_accelerated`` is a logistic regression
-trained on the first 16 corpus samples.  Times depend on the host; a
-shared host makes them indicative only.
+perturbations, the area-resize weights and the Gaussian filter bands)
+before every call, outside the timed region; ``warm`` keeps them, as a
+long-lived process does.  The model for ``predict`` and
+``run_accelerated`` is a logistic regression trained on the first 16
+corpus samples.  Times depend on the host; a shared host makes them
+indicative only.
 
 Usage: PYTHONPATH=src python scripts/layer_times.py [--calls N] [--seed S]
 """
@@ -35,7 +38,7 @@ from freqskip.decision import predict
 from freqskip.features import decision_features
 from freqskip.frequency import dft2, hf_diff, hf_ratio, sobel_magnitude
 from freqskip.generator import TraceConfig, step_images, synth_target
-from freqskip.image import resize_area, resize_bilinear
+from freqskip.image import gaussian_filter, resize_area, resize_bilinear
 from freqskip.labeling import build_dataset, label_sample
 from freqskip.metrics import ssim_map
 from freqskip.pipeline import PipelineConfig, run_accelerated, train_from_samples
@@ -47,6 +50,7 @@ TAU = 0.84
 def clear_memos() -> None:
     generator._perturbation.cache_clear()
     image._area_weights.cache_clear()
+    image._gaussian_band.cache_clear()
 
 
 def per_call_ms(fn, calls: int, cold: bool) -> float:
@@ -76,6 +80,8 @@ def layers(seed: int) -> list[tuple[str, object]]:
     n = pcfg.analysis_size
     return [
         ("synth_target 256", lambda: synth_target(spec, cfg.full_size)),
+        ("gaussian_filter 256 r=5", lambda: gaussian_filter(target, 1.5, 5)),
+        ("gaussian_filter 256 r=29", lambda: gaussian_filter(target, 9.6, 29)),
         ("resize_area 256->160", lambda: resize_area(target, 160, 160)),
         ("resize_area 160->128", lambda: resize_area(i9, n, n)),
         ("resize_bilinear 160->256", lambda: resize_bilinear(i9, cfg.full_size, cfg.full_size)),

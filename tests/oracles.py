@@ -182,3 +182,31 @@ def bilinear_resize_naive(img, w, h):
             bot = float(img[y1, x0]) * (1.0 - fx) + float(img[y1, x1]) * fx
             out[oy, ox] = top * (1.0 - fy) + bot * fy
     return out
+
+
+def reflect_index_naive(i, n):
+    """Index i folded into 0..n-1 by mirroring about the edge samples
+    without repeating them (period 2*(n-1)); a 1-sample axis is constant."""
+    if n == 1:
+        return 0
+    period = 2 * (n - 1)
+    i %= period
+    return i if i < n else period - i
+
+
+def gaussian_filter_naive(img, sigma, radius):
+    """Gaussian smoothing pixel by pixel: each output is the sum of the
+    (2*radius+1)^2 outer-product taps over its reflect-padded window."""
+    h, w = img.shape
+    taps = [math.exp(-(t * t) / (2.0 * sigma * sigma)) for t in range(-radius, radius + 1)]
+    total = sum(taps)
+    kern = np.outer(np.array(taps) / total, np.array(taps) / total)
+    rows = [reflect_index_naive(y, h) for y in range(-radius, h + radius)]
+    cols = [reflect_index_naive(x, w) for x in range(-radius, w + radius)]
+    padded = np.asarray(img, dtype=np.float64)[np.ix_(rows, cols)]
+    size = 2 * radius + 1
+    out = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = float((kern * padded[y : y + size, x : x + size]).sum())
+    return out

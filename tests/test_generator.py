@@ -191,7 +191,8 @@ class TestStepTrace:
 
 
 class TestProcessConstants:
-    """The step perturbation and the area weights are built once per process."""
+    """The step perturbation, the area weights and the Gaussian filter band
+    are built once per process."""
 
     @staticmethod
     def inline_uncond(target, cfg, k):
@@ -229,11 +230,14 @@ class TestProcessConstants:
     def test_memoized_arrays_are_read_only(self):
         offset = generator._perturbation(0, 0.15, 0.6, 9, 160)
         weights = image._area_weights(256, 160)
-        for arr in (offset, weights):
+        band = image._gaussian_band(1.5, 5)
+        assert band.shape == (64, 74)  # 37,888 bytes at SSIM's radius 5
+        for arr in (offset, weights, band):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
         assert image._area_weights(256, 160) is weights
+        assert image._gaussian_band(1.5, 5) is band
 
     def test_returned_uncond_is_fresh_and_writable(self, blob_target):
         cfg = TraceConfig(seed=3)

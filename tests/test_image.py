@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from freqskip.image import (
     ImageFormatError,
+    gaussian_filter,
     load_image,
     resize_area,
     resize_bilinear,
@@ -13,7 +14,7 @@ from freqskip.image import (
     to_grayscale,
 )
 
-from oracles import area_resize_naive, bilinear_resize_naive
+from oracles import area_resize_naive, bilinear_resize_naive, gaussian_filter_naive
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, width=64)
 
@@ -137,6 +138,54 @@ class TestResizeBilinear:
     def test_run_loop_upsamples_equal_oracle_exactly(self, rng, r):
         img = rng.random((r, r))
         assert np.array_equal(resize_bilinear(img, 256, 256), bilinear_resize_naive(img, 256, 256))
+
+
+class TestGaussianFilter:
+    # SSIM's window, then synth_target's five noise octaves (sigma 0.6 * 2**o)
+    PINNED = [(1.5, 5), (0.6, 2), (1.2, 4), (2.4, 8), (4.8, 15), (9.6, 29)]
+
+    @given(
+        h=st.integers(1, 300),
+        w=st.integers(1, 300),
+        sigma=st.floats(0.3, 12.0),
+        radius=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 1-row and 1-column images, sizes on both sides of the 64-output block,
+    # and radii at or beyond the image size, where the reflection wraps
+    @example(h=1, w=1, sigma=1.0, radius=3, seed=0)
+    @example(h=1, w=300, sigma=1.5, radius=5, seed=1)
+    @example(h=300, w=1, sigma=9.6, radius=29, seed=2)
+    @example(h=3, w=70, sigma=2.4, radius=8, seed=3)
+    @example(h=63, w=65, sigma=1.5, radius=5, seed=4)
+    @example(h=129, w=64, sigma=4.8, radius=15, seed=5)
+    @example(h=20, w=7, sigma=9.6, radius=29, seed=6)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_pixel_oracle(self, h, w, sigma, radius, seed):
+        img = np.random.default_rng(seed).random((h, w))
+        out = gaussian_filter(img, sigma, radius)
+        assert out.shape == (h, w)
+        assert np.allclose(out, gaussian_filter_naive(img, sigma, radius), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma, radius", PINNED)
+    def test_pinned_radii_match_oracle_at_full_size(self, rng, sigma, radius):
+        img = rng.standard_normal((256, 256))
+        ref = gaussian_filter_naive(img, sigma, radius)
+        assert np.allclose(gaussian_filter(img, sigma, radius), ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma, radius", PINNED)
+    @pytest.mark.parametrize("shape", [(256, 256), (160, 97), (1, 70)])
+    def test_same_pixels_in_any_layout_give_identical_output(self, rng, sigma, radius, shape):
+        img = rng.random(shape)
+        h, w = shape
+        wide = rng.random((h + 3, w + 5))
+        wide[1 : 1 + h, 2 : 2 + w] = img
+        shifted = np.empty(h * w + 1)[1:].reshape(h, w)  # data 8 bytes past its buffer's start
+        shifted[:] = img
+        layouts = [np.asfortranarray(img), wide[1 : 1 + h, 2 : 2 + w], shifted, img.copy()]
+        expected = gaussian_filter(img, sigma, radius)
+        for arr in layouts:
+            assert np.array_equal(gaussian_filter(arr, sigma, radius), expected)
 
 
 class TestRawFloatFormat:

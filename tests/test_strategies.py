@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_TRACE
@@ -206,6 +206,27 @@ class TestLadderOrder:
     def test_requires_none(self, cost_model):
         with pytest.raises(ValueError):
             ladder_order(cost_model, [Strategy.skip(1)])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_speedup_non_increasing_along_order(self, data):
+        steps = data.draw(st.integers(1, 13), label="steps")
+        raw = data.draw(st.lists(st.floats(0.01, 10.0), min_size=steps, max_size=steps), label="raw")
+        weights = tuple(v / math.fsum(raw) for v in raw)
+        cm = CostModel(weights=weights, overhead=data.draw(st.floats(0.0, 0.1), label="overhead"))
+        fitting = [
+            Strategy(s, u)
+            for s in range(steps)
+            for u in range(steps + 1)
+            if s + u <= steps and (s == 0 or s + u < steps) and s + u > 0
+        ]
+        rungs = data.draw(st.lists(st.sampled_from(fitting), unique=True, max_size=8), label="rungs")
+        ladder = data.draw(st.permutations([*rungs, Strategy.none()]), label="ladder")
+        ordered = ladder_order(cm, ladder)
+        assert sorted(s.ident for s in ordered) == sorted(s.ident for s in ladder)
+        assert ordered[-1] == Strategy.none()
+        spds = [speedup(cm, s) for s in ordered]
+        assert all(a >= b for a, b in zip(spds, spds[1:])), [(s.ident, v) for s, v in zip(ordered, spds)]
 
 
 class TestApplyStrategy:
