@@ -11,9 +11,9 @@ one BLAS thread.  The target is sample 0 of the frozen corpus
 (``default_corpus(200, seed)``).
 
 Two columns: ``cold`` empties the process-wide memos (the step
-perturbations, the area-resize weights and the Gaussian filter bands)
-before every call, outside the timed region; ``warm`` keeps them, as a
-long-lived process does.  The model for ``predict`` and
+perturbations, the area-resize period blocks and the Gaussian filter
+bands) before every call, outside the timed region; ``warm`` keeps them,
+as a long-lived process does.  The model for ``predict`` and
 ``run_accelerated`` is a logistic regression trained on the first 16
 corpus samples.  Times depend on the host; a shared host makes them
 indicative only.
@@ -49,7 +49,7 @@ TAU = 0.84
 
 def clear_memos() -> None:
     generator._perturbation.cache_clear()
-    image._area_weights.cache_clear()
+    image._area_block.cache_clear()
     image._gaussian_band.cache_clear()
 
 
@@ -82,7 +82,9 @@ def layers(seed: int) -> list[tuple[str, object]]:
         ("synth_target 256", lambda: synth_target(spec, cfg.full_size)),
         ("gaussian_filter 256 r=5", lambda: gaussian_filter(target, 1.5, 5)),
         ("gaussian_filter 256 r=29", lambda: gaussian_filter(target, 9.6, 29)),
+        ("resize_area 256->224", lambda: resize_area(target, 224, 224)),
         ("resize_area 256->160", lambda: resize_area(target, 160, 160)),
+        ("resize_area 256->128", lambda: resize_area(target, 128, 128)),
         ("resize_area 160->128", lambda: resize_area(i9, n, n)),
         ("resize_bilinear 160->256", lambda: resize_bilinear(i9, cfg.full_size, cfg.full_size)),
         ("step_images k=8", lambda: step_images(target, cfg, 8)),

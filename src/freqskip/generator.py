@@ -23,10 +23,10 @@ the baseline and labels read their steps from.
 Two constants depend on no sample, so each is built once per process and
 kept, read-only, for the life of the process: the perturbation
 ``alpha * gamma**(k-1) * box3(noise_k)``, keyed on (seed, alpha, gamma, k,
-r_k), and ``image._area_weights`` per (input, output) size pair.  All 12
-perturbations of one default config take ~1.7 MB (the sum of r_k**2
-float64 values); the weights for the default schedule and analysis
-size take ~2.2 MB.
+r_k), and ``image._area_block``, the overlap weights of one period of an
+area resize, per (input, output) size pair.  All 12 perturbations of one
+default config take ~1.7 MB (the sum of r_k**2 float64 values); the
+blocks for the default schedule and analysis size take ~3 KB.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ class TraceConfig:
             object.__setattr__(self, "cost_weights", default_cost_weights(self.schedule, late))
         if len(self.cost_weights) != self.steps:
             raise ValueError("cost_weights length must equal steps")
+        for i, w in enumerate(self.cost_weights):
+            if not w > 0.0:
+                raise ValueError(f"cost_weights[{i}] must be > 0, got {w}")
         if abs(math.fsum(self.cost_weights) - 1.0) > 1e-9:
             raise ValueError("cost_weights must sum to 1")
 

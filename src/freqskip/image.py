@@ -11,9 +11,13 @@ Supported file formats:
 
 All functions are pure; none mutate their inputs.
 
-Two resampling constants are built once per process and kept, read-only:
-the area-resize weight matrix per (input, output) size pair, and the band
-of Gaussian taps per (sigma, radius) that :func:`gaussian_filter`, the one
+Two resampling constants are built once per process and kept, read-only.
+The first is the area-resize period block per (input, output) size pair:
+the (q, p) overlap weights that every block of p input pixels maps to q
+output pixels through, with p and q the sizes divided by their gcd, so
+(5, 8) at 256 -> 160 and (4, 5) at 160 -> 128; all blocks of the default
+schedule and analysis size take ~3 KB.  The second is the band of
+Gaussian taps per (sigma, radius) that :func:`gaussian_filter`, the one
 filter behind SSIM's window and the generator's noise octaves, multiplies
 its blocks by.  A band is 64 x (64 + 2*radius) float64 values: ~37 KB at
 SSIM's radius 5, ~0.26 MB for SSIM plus the five noise octaves of the
@@ -23,6 +27,7 @@ default corpus.
 from __future__ import annotations
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -59,21 +64,25 @@ def to_grayscale(color: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _area_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) matrix of normalized overlap weights.
+def _area_block(n_in: int, n_out: int) -> np.ndarray:
+    """(q, p) overlap weights of one period of an n_in -> n_out area resize.
 
-    Row j covers the source interval [j*s, (j+1)*s) with s = n_in/n_out; its
-    entries are the exact overlap lengths of that interval with each unit
-    source cell, normalized to sum to 1.  Built once per process and shape
-    pair, and read-only.
+    With g = gcd(n_in, n_out), p = n_in // g and q = n_out // g, output
+    pixels t*q .. t*q + q-1 read only input pixels t*p .. t*p + p-1, with
+    the same weights for every t.  Measured in units of 1/q of an input
+    pixel, output i covers [i*p, (i+1)*p) and input j covers [j*q, (j+1)*q),
+    so each weight is an exact integer overlap divided by p, rounded once,
+    and each row sums to 1.  Built once per process and size pair, and
+    read-only.
     """
-    scale = n_in / n_out
-    j = np.arange(n_out, dtype=np.float64)[:, None]
-    t = np.arange(n_in, dtype=np.float64)[None, :]
-    w = np.maximum(np.minimum((j + 1.0) * scale, t + 1.0) - np.maximum(j * scale, t), 0.0)
-    w = w / w.sum(axis=1, keepdims=True)
-    w.flags.writeable = False
-    return w
+    g = math.gcd(n_in, n_out)
+    p, q = n_in // g, n_out // g
+    i = np.arange(q)[:, None]
+    j = np.arange(p)[None, :]
+    overlap = np.maximum(np.minimum((i + 1) * p, (j + 1) * q) - np.maximum(i * p, j * q), 0)
+    block = overlap / p
+    block.flags.writeable = False
+    return block
 
 
 def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -82,6 +91,12 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
     Each output pixel is the overlap-weighted mean of the source pixels its
     (possibly fractional) source rectangle covers.  Only downscaling or the
     identity size is allowed; use :func:`resize_bilinear` to upscale.
+
+    The overlap pattern repeats with period gcd(n_in, n_out) along each
+    axis, so each axis costs one small product with its
+    :func:`_area_block`: every block of p input rows (then columns) maps to
+    q output rows (columns) through the same (q, p) weights.  Coprime sizes
+    make the block the whole (n_out, n_in) matrix.
     """
     arr = require_gray(img)
     h_in, w_in = arr.shape
@@ -93,9 +108,15 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
         )
     if width == w_in and height == h_in:
         return arr.copy()
-    # rows then columns as two dense products; for a given shape BLAS sums
-    # each dot product in the same order, so repeated calls are bit-identical
-    return (_area_weights(h_in, height) @ arr) @ _area_weights(w_in, width).T
+    block_h = _area_block(h_in, height)
+    block_w = _area_block(w_in, width)
+    # rows, then columns; the input is made C-contiguous first so that, for a
+    # given shape, BLAS sums each dot product in the same order whatever the
+    # caller's memory layout (an F-order input changes the bits otherwise),
+    # and repeated calls are bit-identical
+    stacked = np.ascontiguousarray(arr).reshape(-1, block_h.shape[1], w_in)
+    rows = (block_h @ stacked).reshape(height, w_in)
+    return (rows.reshape(-1, block_w.shape[1]) @ block_w.T).reshape(height, width)
 
 
 def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:

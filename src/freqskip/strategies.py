@@ -130,6 +130,9 @@ class CostModel:
     overhead: float = 0.005
 
     def __post_init__(self) -> None:
+        for i, w in enumerate(self.weights):
+            if not w > 0.0:
+                raise ValueError(f"weights[{i}] must be > 0, got {w}")
         if abs(math.fsum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if self.overhead < 0.0:

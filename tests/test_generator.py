@@ -63,6 +63,15 @@ class TestTraceConfig:
         with pytest.raises(ValueError):
             TraceConfig(**kwargs)
 
+    @pytest.mark.parametrize("index, value", [(0, -0.5), (1, 0.0), (11, -1e-3), (5, float("nan"))])
+    def test_non_positive_cost_weight_rejected_by_index(self, index, value):
+        # the other weights keep the sum at 1 (a NaN sum passes the sum check),
+        # so only the sign check can fire
+        others = 1.0 if math.isnan(value) else 1.0 - value
+        weights = tuple(value if i == index else others / 11 for i in range(12))
+        with pytest.raises(ValueError, match=rf"cost_weights\[{index}\] must be > 0, got {value}"):
+            TraceConfig(cost_weights=weights)
+
 
 class TestSynthTarget:
     def test_deterministic(self):
@@ -191,8 +200,8 @@ class TestStepTrace:
 
 
 class TestProcessConstants:
-    """The step perturbation, the area weights and the Gaussian filter band
-    are built once per process."""
+    """The step perturbation, the area-resize period block and the Gaussian
+    filter band are built once per process."""
 
     @staticmethod
     def inline_uncond(target, cfg, k):
@@ -205,7 +214,7 @@ class TestProcessConstants:
     )
     def test_step_equals_inline_draw_cold_and_warm(self, blob_target, cfg):
         generator._perturbation.cache_clear()
-        image._area_weights.cache_clear()
+        image._area_block.cache_clear()
         for k in (1, 8, 9, cfg.steps):
             expected = self.inline_uncond(blob_target, cfg, k)
             for _ in range(2):
@@ -229,14 +238,15 @@ class TestProcessConstants:
 
     def test_memoized_arrays_are_read_only(self):
         offset = generator._perturbation(0, 0.15, 0.6, 9, 160)
-        weights = image._area_weights(256, 160)
+        block = image._area_block(256, 160)
+        assert block.shape == (5, 8)  # one period: 8 input pixels to 5 outputs
         band = image._gaussian_band(1.5, 5)
         assert band.shape == (64, 74)  # 37,888 bytes at SSIM's radius 5
-        for arr in (offset, weights, band):
+        for arr in (offset, block, band):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
-        assert image._area_weights(256, 160) is weights
+        assert image._area_block(256, 160) is block
         assert image._gaussian_band(1.5, 5) is band
 
     def test_returned_uncond_is_fresh_and_writable(self, blob_target):

@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from freqskip.generator import DEFAULT_SCHEDULE
 from freqskip.image import (
     ImageFormatError,
+    _area_block,
     gaussian_filter,
     load_image,
     resize_area,
@@ -91,6 +93,54 @@ class TestResizeArea:
         ours = resize_area(img, ow, oh)
         ref = area_resize_naive(img, ow, oh)
         assert np.allclose(ours, ref, atol=1e-12)
+
+    # (h_in, w_in, h_out, w_out): 256 to every r_k of the default schedule,
+    # the analysis resizes, a non-square case, and coprime sizes, whose
+    # period block is the whole (n_out, n_in) weight matrix
+    PINNED = (
+        [(256, 256, r, r) for r in DEFAULT_SCHEDULE]
+        + [(160, 160, 128, 128), (192, 192, 128, 128), (256, 160, 200, 128)]
+        + [(256, 256, 255, 255), (37, 37, 23, 23)]
+    )
+
+    @pytest.mark.parametrize("h_in, w_in, h_out, w_out", PINNED)
+    def test_pinned_sizes_match_naive_oracle(self, rng, h_in, w_in, h_out, w_out):
+        img = rng.random((h_in, w_in))
+        ref = area_resize_naive(img, w_out, h_out)
+        assert np.allclose(resize_area(img, w_out, h_out), ref, rtol=0.0, atol=1e-12)
+
+    def test_half_size_is_exact_mean_of_each_2x2_block(self, rng):
+        img = rng.random((256, 256))
+        # rows first, then columns, as resize_area sums them
+        rows = (img[0::2] + img[1::2]) / 2
+        assert np.array_equal(resize_area(img, 128, 128), (rows[:, 0::2] + rows[:, 1::2]) / 2)
+
+    @pytest.mark.parametrize(
+        "n_in, n_out", [(256, r) for r in DEFAULT_SCHEDULE] + [(160, 128), (192, 128), (256, 255), (37, 23), (97, 1)]
+    )
+    def test_block_rows_sum_to_one(self, n_in, n_out):
+        block = _area_block(n_in, n_out)
+        g = np.gcd(n_in, n_out)
+        assert block.shape == (n_out // g, n_in // g)
+        assert np.all(block >= 0.0)
+        assert np.all(np.abs(block.sum(axis=1) - 1.0) <= 1e-15)
+
+    @pytest.mark.parametrize(
+        "h_in, w_in, h_out, w_out", [(256, 256, 160, 160), (160, 160, 128, 128), (256, 160, 200, 128), (37, 37, 23, 23)]
+    )
+    def test_same_pixels_in_any_layout_give_identical_output(self, rng, h_in, w_in, h_out, w_out):
+        # --jobs 1 and --jobs 2 write identical files only if the bits do not
+        # depend on how the caller's array is laid out
+        img = rng.random((h_in, w_in))
+        wide = rng.random((2 * h_in + 3, 3 * w_in + 5))
+        wide[3::2, 5::3][:h_in, :w_in] = img
+        shifted = np.empty(h_in * w_in + 1)[1:].reshape(h_in, w_in)  # data 8 bytes past its buffer's start
+        shifted[:] = img
+        layouts = [np.asfortranarray(img), wide[3::2, 5::3][:h_in, :w_in], shifted, img.copy()]
+        expected = resize_area(img, w_out, h_out)
+        for arr in layouts:
+            assert np.array_equal(arr, img)
+            assert np.array_equal(resize_area(arr, w_out, h_out), expected)
 
 
 class TestResizeBilinear:

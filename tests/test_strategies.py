@@ -162,6 +162,15 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(weights=(0.5, 0.5), overhead=-0.1)
 
+    @pytest.mark.parametrize(
+        "weights, index, value",
+        [((1.5, -0.5), 1, -0.5), ((0.0, 1.0), 0, 0.0), ((0.5, 0.5, 0.0), 2, 0.0), ((float("nan"), 1.0), 0, float("nan"))],
+    )
+    def test_non_positive_weight_rejected_by_index(self, weights, index, value):
+        # (1.5, -0.5) sums to 1, and would rank skip_1 (speedup 0.667) ahead of none
+        with pytest.raises(ValueError, match=rf"weights\[{index}\] must be > 0, got {value}"):
+            CostModel(weights=weights, overhead=0.0)
+
 
 class TestSpeedup:
     def test_none_with_zero_overhead(self, cfg):
