@@ -29,8 +29,6 @@ from .generator import (
     decode_final,
     default_cost_weights,
     generate_trace,
-    load_trace,
-    save_trace,
     step_images,
     synth_target,
 )

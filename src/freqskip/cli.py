@@ -57,14 +57,12 @@ class RunConfig:
     seed: int = _TRACE.seed
     corpus_size: int = 200
     corpus_kind: str = "default"
-    steps: int = _TRACE.steps
     schedule: tuple[int, ...] = _TRACE.schedule
     guidance: float = _TRACE.guidance
     gap_alpha: float = _TRACE.gap_alpha
     gap_gamma: float = _TRACE.gap_gamma
     decision_step: int = _PIPELINE.decision_step
     analysis_size: int = _PIPELINE.analysis_size
-    eligible_steps: int = _PIPELINE.eligible_steps
     overhead: float = _PIPELINE.overhead
     hf_rho: float = _PIPELINE.hf.rho
     hf_epsilon: float = _PIPELINE.hf.epsilon
@@ -133,7 +131,6 @@ class RunConfig:
 
     def trace_config(self) -> TraceConfig:
         return TraceConfig(
-            steps=self.steps,
             schedule=tuple(self.schedule),
             guidance=self.guidance,
             gap_alpha=self.gap_alpha,
@@ -154,7 +151,6 @@ class RunConfig:
             ),
             hf_mask=HfMaskParams(quantile=self.hf_mask_quantile),
             ladder=tuple(parse_strategy(ident) for ident in self.ladder),
-            eligible_steps=self.eligible_steps,
             overhead=self.overhead,
         )
         pcfg.validate_for(self.trace_config())
@@ -273,10 +269,8 @@ def cmd_label(cfg: RunConfig, corpus_dir: str, out_dir: str, jobs: int) -> int:
 # train
 # --------------------------------------------------------------------------
 
-def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, kind: str | None, out_dir: str) -> int:
-    kind = kind or cfg.model_kind
-    if kind not in _MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, out_dir: str) -> int:
+    kind = cfg.model_kind
     feat_ids, x, _ = read_feature_csv(features_path)
     label_ids, _, labels = read_feature_csv(labels_path)
     if labels is None:
@@ -313,9 +307,15 @@ def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, kind: str | 
 def cmd_run(cfg: RunConfig, model_path: str, target_path: str, out_dir: str, force: str | None) -> int:
     tcfg = cfg.trace_config()
     pcfg = cfg.pipeline_config()
+    force_strategy = None
+    if force is not None:
+        try:
+            force_strategy = parse_strategy(force)
+            pcfg.check_rung(force_strategy, tcfg)
+        except ValueError as exc:
+            raise ConfigError(f"--force-strategy: {exc}") from None
     target = synth_target(TargetSpec(path=target_path), tcfg.full_size)
     model = None if force is not None else load_model(model_path)
-    force_strategy = parse_strategy(force) if force is not None else None
     out, report = run_accelerated(target, tcfg, pcfg, model, force_strategy=force_strategy)
     os.makedirs(out_dir, exist_ok=True)
     save_image(out, os.path.join(out_dir, "output.f32"), "rawf32")
@@ -399,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="fit a decision model from labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--kind", choices=_MODEL_KINDS)
     p.add_argument("--out", "-o", required=True)
 
     p = sub.add_parser("run", parents=[common], help="accelerated generation for a single target image")
@@ -430,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "label":
             return cmd_label(cfg, args.corpus, args.out, args.jobs)
         if args.command == "train":
-            return cmd_train(cfg, args.features, args.labels, args.kind, args.out)
+            return cmd_train(cfg, args.features, args.labels, args.out)
         if args.command == "run":
             return cmd_run(cfg, args.model, args.target, args.out, args.force_strategy)
         if args.command == "evaluate":

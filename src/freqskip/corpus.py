@@ -30,6 +30,21 @@ def default_ids(n: int) -> list[str]:
     return [f"s{i:04d}" for i in range(n)]
 
 
+def sample_ids(specs: list[TargetSpec], ids: list[str] | None) -> list[str]:
+    """One id per spec: ``ids``, or :func:`default_ids` when None.
+
+    Raises ValueError for an empty spec list or an id count that differs
+    from the spec count.
+    """
+    if not specs:
+        raise ValueError("spec list must not be empty")
+    if ids is None:
+        return default_ids(len(specs))
+    if len(ids) != len(specs):
+        raise ValueError(f"{len(ids)} ids for {len(specs)} specs")
+    return list(ids)
+
+
 def _map_jobs(fn, items: list, jobs: int) -> list:
     """``[fn(item) for item in items]`` on up to ``jobs`` worker processes
     (never more than ``os.cpu_count()``); results keep the item order."""

@@ -10,11 +10,12 @@ guidance factor:
     U_k = C_k + alpha * gamma**(k-1) * box3(noise_k)      (never clamped)
     I_k = clip(U_k + g * (C_k - U_k), 0, 1)
 
-The config carries normalized per-step weights w_k, one unit per branch,
-calibrated so the last three steps carry a fixed share (0.69) of the
-baseline cost; ``strategies.CostModel`` prices a run with them, and the
-generator only builds images.  Identical (target, config) pairs always
-produce bit-identical traces.
+The config has one step per schedule entry and derives normalized
+per-step weights w_k from the schedule, one unit per branch, calibrated so
+the last three steps carry a fixed share (0.69) of the baseline cost;
+``strategies.CostModel`` prices a run with them, and the generator only
+builds images.  Identical (target, config) pairs always produce
+bit-identical traces.
 
 A :class:`StepTrace` is one sample's run: it builds step k on first read,
 holds it until released, and is the one place features, emitted outputs,
@@ -32,16 +33,14 @@ blocks for the default schedule and analysis size take ~3 KB.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .image import ImageFormatError, gaussian_filter, load_image, require_gray, resize_area, resize_bilinear
-from .image import save_image, to_grayscale
+from .image import to_grayscale
 
 DEFAULT_SCHEDULE = (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256)
 LATE_STEPS = 3
@@ -79,39 +78,34 @@ def default_cost_weights(
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Shape of the toy generation process and its cost model."""
+    """Shape of the toy generation process and its cost model.
 
-    steps: int = 12
+    The run has one step per ``schedule`` entry, so ``steps`` is
+    ``len(schedule)``, and its cost weights are
+    ``default_cost_weights(schedule)``, computed once per config.
+    """
+
     schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     guidance: float = 2.0
     gap_alpha: float = 0.15
     gap_gamma: float = 0.6
     seed: int = 0
-    cost_weights: tuple[float, ...] = field(default=None)  # type: ignore[assignment]
+    cost_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.steps < 4:
-            raise ValueError(f"steps must be >= 4, got {self.steps}")
-        if len(self.schedule) != self.steps:
-            raise ValueError(
-                f"schedule length {len(self.schedule)} does not match steps={self.steps}"
-            )
+        if len(self.schedule) < 4:
+            raise ValueError(f"schedule must have >= 4 steps, got {len(self.schedule)}")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])) or self.schedule[0] < 1:
             raise ValueError("schedule must be strictly increasing and positive")
         if not 0.0 < self.gap_gamma < 1.0:
             raise ValueError(f"gap_gamma must be in (0, 1), got {self.gap_gamma}")
         if self.gap_alpha < 0.0:
             raise ValueError(f"gap_alpha must be >= 0, got {self.gap_alpha}")
-        if self.cost_weights is None:
-            late = min(LATE_STEPS, self.steps - 1)
-            object.__setattr__(self, "cost_weights", default_cost_weights(self.schedule, late))
-        if len(self.cost_weights) != self.steps:
-            raise ValueError("cost_weights length must equal steps")
-        for i, w in enumerate(self.cost_weights):
-            if not w > 0.0:
-                raise ValueError(f"cost_weights[{i}] must be > 0, got {w}")
-        if abs(math.fsum(self.cost_weights) - 1.0) > 1e-9:
-            raise ValueError("cost_weights must sum to 1")
+        object.__setattr__(self, "cost_weights", default_cost_weights(self.schedule))
+
+    @property
+    def steps(self) -> int:
+        return len(self.schedule)
 
     @property
     def full_size(self) -> int:
@@ -319,47 +313,3 @@ def decode_final(trace: StepTrace, stop_step: int, replaced: bool = False) -> np
         return out
     size = trace.config.full_size
     return resize_bilinear(out, size, size)
-
-
-_STEP_FILES = ("cond", "uncond", "comb")  # per-step file prefixes, in StepRecord order
-
-
-def save_trace(trace: StepTrace, dirpath: str | os.PathLike) -> None:
-    """Write a trace directory: manifest.json + per-step raw-float images."""
-    os.makedirs(dirpath, exist_ok=True)
-    cfg = trace.config
-    manifest = {
-        "steps": cfg.steps,
-        "schedule": list(cfg.schedule),
-        "seed": cfg.seed,
-        "guidance": cfg.guidance,
-        "gap_alpha": cfg.gap_alpha,
-        "gap_gamma": cfg.gap_gamma,
-        "cost_weights": list(cfg.cost_weights),
-    }
-    with open(os.path.join(dirpath, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    save_image(trace.target, os.path.join(dirpath, "target.f32"), "rawf32")
-    for k in range(1, cfg.steps + 1):
-        for prefix, img in zip(_STEP_FILES, trace.step(k)):
-            save_image(img, os.path.join(dirpath, f"{prefix}_{k:02d}.f32"), "rawf32")
-
-
-def load_trace(dirpath: str | os.PathLike) -> StepTrace:
-    """Read a trace directory written by :func:`save_trace`."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    cfg = TraceConfig(
-        steps=manifest["steps"],
-        schedule=tuple(manifest["schedule"]),
-        guidance=manifest["guidance"],
-        gap_alpha=manifest["gap_alpha"],
-        gap_gamma=manifest["gap_gamma"],
-        seed=manifest["seed"],
-        cost_weights=tuple(manifest["cost_weights"]),
-    )
-    trace = StepTrace(load_image(os.path.join(dirpath, "target.f32")), cfg)
-    for k in range(1, cfg.steps + 1):
-        trace._built[k] = StepRecord(*(load_image(os.path.join(dirpath, f"{p}_{k:02d}.f32")) for p in _STEP_FILES))
-    return trace

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .corpus import _map_jobs, default_ids
+from .corpus import _map_jobs, sample_ids
 from .decision import FeatureVector
 from .features import step_features
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
@@ -167,12 +167,7 @@ def build_dataset(
 ) -> list[LabeledSample]:
     """Label every spec in order on ``jobs`` processes; optionally emit the
     feature/label CSVs."""
-    if not specs:
-        raise ValueError("spec list must not be empty")
-    if ids is None:
-        ids = default_ids(len(specs))
-    if len(ids) != len(specs):
-        raise ValueError(f"{len(ids)} ids for {len(specs)} specs")
+    ids = sample_ids(specs, ids)
     samples = _map_jobs(partial(_label_spec, cfg=cfg, pcfg=pcfg, tau=tau), list(zip(ids, specs)), jobs)
     if len({s.label for s in samples}) < 2:
         warnings.warn("corpus produced fewer than 2 distinct labels; classifiers need label diversity")
@@ -195,6 +190,8 @@ def split_by_probe(ids: list[str], probe_ssims: list[float], tau_s: float) -> tu
     """
     if not 0.0 <= tau_s <= 1.0:
         raise ValueError(f"tau_s must be in [0, 1], got {tau_s}")
+    if len(ids) != len(probe_ssims):
+        raise ValueError(f"{len(ids)} ids for {len(probe_ssims)} probe SSIMs")
     flags = [value < tau_s for value in probe_ssims]
     sensitive = [sid for sid, flag in zip(ids, flags) if flag]
     robust = [sid for sid, flag in zip(ids, flags) if not flag]
@@ -221,7 +218,6 @@ def sensitivity_split(
     (``EvalResult.probe_ssims``), which is how ``freqskip evaluate
     --split-sensitivity`` splits its corpus.
     """
-    if ids is None:
-        ids = default_ids(len(specs))
+    ids = sample_ids(specs, ids)
     probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg, ssim_params=ssim_params, probe=probe), specs, jobs)
     return split_by_probe(ids, probe_ssims, tau_s)

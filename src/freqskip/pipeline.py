@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import _map_jobs, default_ids
+from .corpus import _map_jobs, sample_ids
 from .decision import FeatureVector, TrainedModel, predict, train_forest, train_logreg, train_tree, train_two_stage
 from .features import step_features
 from .frequency import HFParams, hf_ratio
@@ -35,7 +35,12 @@ from .strategies import DEFAULT_LADDER, CostModel, Strategy, output_key, parse_s
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Decision-step placement, analysis parameters, and the strategy ladder."""
+    """Decision-step placement, analysis parameters, and the strategy ladder.
+
+    The model decides once, at ``decision_step``, what to do with the steps
+    after it, so a rung may touch only those ``steps - decision_step``
+    trailing steps (:meth:`check_rung`).
+    """
 
     decision_step: int = 9
     analysis_size: int = 128
@@ -43,7 +48,6 @@ class PipelineConfig:
     ssim: SsimParams = SsimParams()
     hf_mask: HfMaskParams = HfMaskParams()
     ladder: tuple[Strategy, ...] = DEFAULT_LADDER
-    eligible_steps: int = 3
     overhead: float = 0.005
 
     def __post_init__(self) -> None:
@@ -51,8 +55,6 @@ class PipelineConfig:
             raise ValueError(f"analysis_size must be >= 3, got {self.analysis_size}")
         if self.overhead < 0.0:
             raise ValueError(f"overhead must be >= 0, got {self.overhead}")
-        if self.eligible_steps < 1:
-            raise ValueError(f"eligible_steps must be >= 1, got {self.eligible_steps}")
         if not any(s.kind == "none" for s in self.ladder):
             raise ValueError("ladder must contain the 'none' strategy")
 
@@ -60,23 +62,23 @@ class PipelineConfig:
         n = self.decision_step
         if not 2 <= n < cfg.steps:
             raise ValueError(f"decision_step must be in 2..{cfg.steps - 1}, got {n}")
-        if self.eligible_steps > cfg.steps - n:
-            raise ValueError(
-                f"eligible_steps={self.eligible_steps} overlaps the decision step "
-                f"(only {cfg.steps - n} steps follow step {n})"
-            )
         if self.analysis_size > cfg.schedule[n - 2]:
             raise ValueError(
                 f"analysis_size={self.analysis_size} exceeds the step {n - 1} "
                 f"resolution {cfg.schedule[n - 2]}"
             )
         for strategy in self.ladder:
-            strategy.validate_for(cfg.steps)
-            if strategy.affected_steps > self.eligible_steps:
-                raise ValueError(
-                    f"ladder strategy {strategy.ident} touches {strategy.affected_steps} steps "
-                    f"but only the last {self.eligible_steps} are eligible"
-                )
+            self.check_rung(strategy, cfg)
+
+    def check_rung(self, strategy: Strategy, cfg: TraceConfig) -> None:
+        """Raise ValueError unless ``strategy`` touches only steps after the
+        decision step; as that step is at least 2, the plan then fits the run."""
+        window = cfg.steps - self.decision_step
+        if strategy.affected_steps > window:
+            raise ValueError(
+                f"strategy {strategy.ident} touches {strategy.affected_steps} steps but only the "
+                f"{window} after decision step {self.decision_step} are eligible"
+            )
 
     def ladder_ids(self) -> list[str]:
         return [s.ident for s in self.ladder]
@@ -127,16 +129,14 @@ def _run(
     it, and the output is read from the strategy's stop step."""
     cfg = trace.config
     pcfg.validate_for(cfg)
-    if model is None and force_strategy is None:
+    if force_strategy is not None:
+        pcfg.check_rung(force_strategy, cfg)
+    elif model is None:
         raise ValueError("need a decision model or a forced strategy")
     if model is not None:
         _check_model(model, pcfg)
     feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
-    if force_strategy is not None:
-        force_strategy.validate_for(cfg.steps)
-        strategy = force_strategy
-    else:
-        strategy = parse_strategy(predict(model, feats))
+    strategy = force_strategy if force_strategy is not None else parse_strategy(predict(model, feats))
     out = decode_final(trace, *output_key(strategy, cfg.steps))
     cm = pcfg.cost_model(cfg)
     report = RunReport(
@@ -245,12 +245,9 @@ def evaluate(
 ) -> EvalResult:
     """Run the pipeline over a corpus on ``jobs`` processes, with baseline
     scoring and the sensitivity probe per sample."""
-    if not specs:
-        raise ValueError("spec list must not be empty")
-    if ids is None:
-        ids = default_ids(len(specs))
+    ids = sample_ids(specs, ids)
     scored = _map_jobs(partial(_evaluate_spec, cfg=cfg, pcfg=pcfg, model=model), specs, jobs)
-    return EvalResult(ids=list(ids), reports=[r for r, _ in scored], probe_ssims=[p for _, p in scored])
+    return EvalResult(ids=ids, reports=[r for r, _ in scored], probe_ssims=[p for _, p in scored])
 
 
 _TRAINERS = {

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
+import re
 import shutil
 
 import numpy as np
@@ -75,6 +78,14 @@ class TestExitCodes:
         cfg.write_text('{"no_such_key": 1}')
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("key, value", [("steps", 12), ("eligible_steps", 3)])
+    def test_derived_config_key_is_2(self, tmp_path, key, value):
+        # the step count is len(schedule) and the window follows decision_step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_value_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"gap_gamma": 1.5}')
@@ -98,6 +109,13 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ident", ["skip_5", "hybrid_6_5", "uncond_4", "skip_x", "bogus"])
+    def test_bad_forced_strategy_is_2_before_reading_inputs(self, tmp_path, ident):
+        # neither file exists: reading either would exit 3
+        argv = ["run", "--model", str(tmp_path / "no_model.json"), "--target", str(tmp_path / "no_target.f32")]
+        assert run_cli(*argv, "-o", str(tmp_path / "out"), "--force-strategy", ident) == 2
         assert not (tmp_path / "out").exists()
 
     def test_missing_corpus_is_3(self, tmp_path):
@@ -168,7 +186,7 @@ class TestExitCodes:
                 str(workspace / "labels" / "features.csv"),
                 "--labels",
                 str(workspace / "labels" / "labels.csv"),
-                "--kind",
+                "--model-kind",
                 "svm",
                 "-o",
                 str(tmp_path / "m"),
@@ -455,3 +473,13 @@ class TestTauSweep:
             assert summary["samples"] == 16
             assert 0.0 < summary["mean_ssim"] <= 1.0
             assert summary["mean_speedup"] > 0.9
+
+
+def test_readme_config_keys_match_run_config():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert documented == {f.name for f in dataclasses.fields(RunConfig)}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,6 @@ from freqskip.generator import (
     decode_final,
     default_cost_weights,
     generate_trace,
-    load_trace,
-    save_trace,
     step_images,
     synth_target,
 )
@@ -52,25 +51,33 @@ class TestTraceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"steps": 3, "schedule": (8, 16, 32)},
+            {"schedule": (8, 16, 32)},
             {"schedule": (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 224)},
             {"gap_gamma": 1.0},
             {"gap_alpha": -0.1},
-            {"cost_weights": (1.0,) * 12},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TraceConfig(**kwargs)
 
-    @pytest.mark.parametrize("index, value", [(0, -0.5), (1, 0.0), (11, -1e-3), (5, float("nan"))])
-    def test_non_positive_cost_weight_rejected_by_index(self, index, value):
-        # the other weights keep the sum at 1 (a NaN sum passes the sum check),
-        # so only the sign check can fire
-        others = 1.0 if math.isnan(value) else 1.0 - value
-        weights = tuple(value if i == index else others / 11 for i in range(12))
-        with pytest.raises(ValueError, match=rf"cost_weights\[{index}\] must be > 0, got {value}"):
-            TraceConfig(cost_weights=weights)
+    @pytest.mark.parametrize(
+        "schedule", [DEFAULT_SCHEDULE, (8, 16, 32, 64), (4, 8, 12, 16, 20, 24, 32), (16, 24, 32, 48, 64, 96, 128)]
+    )
+    def test_steps_and_weights_follow_schedule(self, schedule):
+        cfg = TraceConfig(schedule=schedule, seed=3)
+        assert cfg.steps == len(schedule)
+        assert cfg.cost_weights == default_cost_weights(schedule)
+        for other in (DEFAULT_SCHEDULE, (8, 16, 24, 48, 96)):
+            moved = dataclasses.replace(cfg, schedule=other)
+            assert moved.steps == len(other)
+            assert moved.cost_weights == default_cost_weights(other)
+            assert moved.seed == 3
+
+    @pytest.mark.parametrize("name", ["steps", "cost_weights"])
+    def test_derived_values_are_not_settable(self, name):
+        with pytest.raises(TypeError):
+            TraceConfig(**{name: getattr(TraceConfig(), name)})
 
 
 class TestSynthTarget:
@@ -326,23 +333,3 @@ class TestDecodeFinal:
     def test_out_of_range(self, default_trace):
         with pytest.raises(ValueError):
             decode_final(default_trace, 0)
-
-
-class TestTraceIO:
-    def test_round_trip(self, tmp_path, blob_target):
-        cfg = TraceConfig(seed=5)
-        trace = generate_trace(blob_target, cfg)
-        save_trace(trace, tmp_path / "trace")
-        back = load_trace(tmp_path / "trace")
-        assert back.config == cfg
-        # files store float32, so compare at that precision
-        for a, b in zip(trace.records, back.records):
-            assert np.array_equal(b.combined, a.combined.astype(np.float32).astype(np.float64))
-        assert np.array_equal(back.target, trace.target.astype(np.float32).astype(np.float64))
-
-    def test_layout(self, tmp_path, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=5))
-        save_trace(trace, tmp_path / "trace")
-        names = {p.name for p in (tmp_path / "trace").iterdir()}
-        assert "manifest.json" in names and "target.f32" in names
-        assert {"cond_01.f32", "uncond_01.f32", "comb_01.f32", "comb_12.f32"} <= names

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_PIPELINE, FROZEN_TAUS, FROZEN_TRACE
-from freqskip.corpus import blob_corpus, default_corpus
+from freqskip.corpus import blob_corpus, default_corpus, default_ids, sample_ids
 from freqskip.features import decision_features
 from freqskip.generator import TargetSpec, synth_target
 from freqskip.metrics import ssim
@@ -19,6 +19,7 @@ from freqskip.labeling import (
     ordered_ladder_ids,
     read_feature_csv,
     sensitivity_split,
+    split_by_probe,
     strategy_fidelity,
 )
 
@@ -199,6 +200,17 @@ class TestSensitivitySplit:
         sens, rob = sensitivity_split(specs, FROZEN_TRACE, 0.85)
         assert sorted(sens + rob) == [f"s{i:04d}" for i in range(6)]
 
+    def test_ids_checked_like_build_dataset(self):
+        specs = default_corpus(3, seed=2)
+        with pytest.raises(ValueError, match="2 ids for 3 specs"):
+            sensitivity_split(specs, FROZEN_TRACE, 0.85, ids=["a", "b"])
+        with pytest.raises(ValueError, match="must not be empty"):
+            sensitivity_split([], FROZEN_TRACE, 0.85)
+
+    def test_split_by_probe_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="1 ids for 2 probe SSIMs"):
+            split_by_probe(["a"], [0.5, 0.9], 0.85)
+
     def test_recipe_groups_split_purely(self, frozen_corpus, frozen_records):
         # sensitivity derives from the same skip_3 probe the records hold
         tau_s = 0.85
@@ -216,3 +228,15 @@ class TestSensitivitySplit:
         }
         assert len(smooth & robust) / len(smooth) >= 0.9
         assert len(fine & sensitive) / len(fine) >= 0.9
+
+
+class TestSampleIds:
+    def test_defaults_and_given_ids(self):
+        specs = default_corpus(3, seed=0)
+        assert sample_ids(specs, None) == default_ids(3) == ["s0000", "s0001", "s0002"]
+        assert sample_ids(specs, ("a", "b", "c")) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("n_specs, ids", [(0, None), (0, []), (3, ["a"]), (2, ["a", "b", "c"])])
+    def test_rejects_empty_or_mismatched(self, n_specs, ids):
+        with pytest.raises(ValueError):
+            sample_ids(default_corpus(n_specs, seed=0), ids)

@@ -82,9 +82,18 @@ class TestPipelineConfig:
 
     def test_ladder_must_fit_eligible_steps(self):
         with pytest.raises(ValueError, match="eligible"):
-            PipelineConfig(
-                ladder=(Strategy.skip(4), Strategy.none()), eligible_steps=3
-            ).validate_for(FROZEN_TRACE)
+            PipelineConfig(ladder=(Strategy.skip(4), Strategy.none())).validate_for(FROZEN_TRACE)
+
+    @pytest.mark.parametrize(
+        "decision_step, fits, outside",
+        [(8, Strategy.skip(4), Strategy.uncond(5)), (10, Strategy.hybrid(1, 1), Strategy.skip(3))],
+        ids=["step_8", "step_10"],
+    )
+    def test_window_is_the_steps_after_the_decision_step(self, decision_step, fits, outside):
+        pcfg = PipelineConfig(decision_step=decision_step, analysis_size=96)
+        pcfg.check_rung(fits, FROZEN_TRACE)
+        with pytest.raises(ValueError, match=f"only the {12 - decision_step} after decision step"):
+            pcfg.check_rung(outside, FROZEN_TRACE)
 
     def test_ladder_requires_none(self):
         with pytest.raises(ValueError, match="none"):
@@ -146,6 +155,16 @@ class TestRunAccelerated:
         _, report = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
         assert report.ssim is None and report.ssim_hf is None
 
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.skip(5), Strategy.hybrid(6, 5), Strategy.uncond(4)], ids=lambda s: s.ident
+    )
+    def test_forced_strategy_outside_window_rejected(self, strategy, step_builds):
+        # the decision at step 9 can only act on steps 10-12
+        target = synth_target(TargetSpec(seed=4, blobs=3), 256)
+        with pytest.raises(ValueError, match="eligible"):
+            run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy)
+        assert step_builds == []
+
     def test_model_ladder_mismatch(self):
         target = synth_target(TargetSpec(seed=4, blobs=3), 256)
         with pytest.raises(ValueError, match="outside the ladder"):
@@ -206,7 +225,6 @@ class TestFixedHybridSchedule:
         pcfg = PipelineConfig(
             decision_step=8,
             analysis_size=96,
-            eligible_steps=4,
             ladder=(Strategy.hybrid(2, 2), Strategy.none()),
             hf=FROZEN_PIPELINE.hf,
         )
@@ -258,6 +276,10 @@ class TestEvaluate:
     def test_empty_corpus_rejected(self, mini_model):
         with pytest.raises(ValueError):
             evaluate([], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+
+    def test_id_count_must_match_specs(self):
+        with pytest.raises(ValueError, match="1 ids for 3 specs"):
+            evaluate(default_corpus(3, seed=0), FROZEN_TRACE, FROZEN_PIPELINE, constant_model("none"), ids=["a"])
 
 
 class TestSelectionAccuracy:
