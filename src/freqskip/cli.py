@@ -1,10 +1,15 @@
 """Command-line workflow: corpus -> label -> train -> run -> evaluate.
 
 Every command takes a flat JSON config file (``--config``) with optional
-flag overrides, validates it before doing any work, and writes its artifacts
-under a user-supplied output directory together with a ``manifest.json``
-recording the config hash.  Identical config and flags produce byte-identical
-artifacts.
+flag overrides and writes its artifacts under ``--out``.  :func:`main` does
+what the commands share: it validates the config before any work, builds its
+trace and pipeline configs once, hands them to the command's handler, then
+writes ``manifest.json`` (the command, the config and its hash, plus the
+handler's own keys) and prints one ``<command>: <summary>`` line.  Identical
+config and flags produce byte-identical artifacts.
+
+``run`` takes ``--model`` or ``--force-strategy``; a forced strategy needs no
+model, and the model file is then not read.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error.
 """
@@ -25,13 +30,13 @@ from functools import partial
 import numpy as np
 
 from .corpus import _map_jobs, blob_corpus, default_corpus, default_ids, family_a, family_b
-from .decision import FeatureVector, ModelFormatError, load_model, predict, save_model, split_train_val
+from .decision import TRAINERS, FeatureVector, load_model, predict, save_model, split_train_val
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .image import ImageFormatError, save_image
 from .labeling import LabeledSample, build_dataset, read_feature_csv, split_by_probe
 from .metrics import HfMaskParams, SsimParams
-from .pipeline import _TRAINERS, PipelineConfig, evaluate, run_accelerated, train_from_samples
+from .pipeline import PipelineConfig, evaluate, run_accelerated, train_from_samples
 from .strategies import parse_strategy
 
 
@@ -40,7 +45,6 @@ class ConfigError(ValueError):
 
 
 _CORPUS_KINDS = {"default": default_corpus, "blob": blob_corpus, "family_a": family_a, "family_b": family_b}
-_MODEL_KINDS = tuple(_TRAINERS)
 _TRACE = TraceConfig()
 _PIPELINE = PipelineConfig()
 
@@ -110,10 +114,11 @@ class RunConfig:
             if value is not None:
                 setattr(self, name, value)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[TraceConfig, PipelineConfig]:
+        """Check every key; returns the run's trace and pipeline configs."""
         try:
-            self.trace_config()
-            self.pipeline_config()
+            tcfg = self.trace_config()
+            pcfg = self.pipeline_config()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         if self.corpus_kind not in _CORPUS_KINDS:
@@ -124,10 +129,11 @@ class RunConfig:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if not 0.0 <= self.tau_sensitivity <= 1.0:
             raise ConfigError(f"tau_sensitivity must be in [0, 1], got {self.tau_sensitivity}")
-        if self.model_kind not in _MODEL_KINDS:
+        if self.model_kind not in TRAINERS:
             raise ConfigError(f"unknown model_kind {self.model_kind!r}")
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+        return tcfg, pcfg
 
     def trace_config(self) -> TraceConfig:
         return TraceConfig(
@@ -180,15 +186,15 @@ def _write_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: str, cfg: RunConfig, command: str, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: str, cfg: RunConfig, command: str, extra: dict) -> None:
     body = {"command": command, "config_hash": cfg.config_hash(), "config": json.loads(cfg.canonical_json())}
-    if extra:
-        body.update(extra)
+    body.update(extra)
     _write_json(body, os.path.join(out_dir, "manifest.json"))
 
 
 # --------------------------------------------------------------------------
-# corpus
+# commands: each takes (args, cfg, tcfg, pcfg), creates --out only once its
+# inputs check out, and returns (manifest extra keys, stdout summary)
 # --------------------------------------------------------------------------
 
 def _corpus_sample(item: tuple[str, TargetSpec], out_dir: str, size: int, hf: HFParams) -> float:
@@ -199,33 +205,21 @@ def _corpus_sample(item: tuple[str, TargetSpec], out_dir: str, size: int, hf: HF
     return hf_ratio(target, hf)
 
 
-def cmd_corpus(cfg: RunConfig, out_dir: str, jobs: int) -> int:
-    tcfg = cfg.trace_config()
-    pcfg = cfg.pipeline_config()
+def cmd_corpus(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
     specs = cfg.corpus_specs()
     ids = default_ids(len(specs))
-    os.makedirs(out_dir, exist_ok=True)
-    worker = partial(_corpus_sample, out_dir=out_dir, size=tcfg.full_size, hf=pcfg.hf)
+    os.makedirs(args.out, exist_ok=True)
+    worker = partial(_corpus_sample, out_dir=args.out, size=tcfg.full_size, hf=pcfg.hf)
     buckets = {"0.0-0.1": 0, "0.1-0.4": 0, "0.4-1.0": 0}
-    for ratio in _map_jobs(worker, list(zip(ids, specs)), jobs):
+    for ratio in _map_jobs(worker, list(zip(ids, specs)), args.jobs):
         if ratio <= 0.1:
             buckets["0.0-0.1"] += 1
         elif ratio < 0.4:
             buckets["0.1-0.4"] += 1
         else:
             buckets["0.4-1.0"] += 1
-    _write_manifest(
-        out_dir,
-        cfg,
-        "corpus",
-        {
-            "ids": ids,
-            "hf_ratio_histogram": buckets,
-            "specs": [dataclasses.asdict(s) for s in specs],
-        },
-    )
-    print(f"corpus: wrote {len(ids)} targets to {out_dir} (hf_ratio buckets {buckets})")
-    return 0
+    extra = {"ids": ids, "hf_ratio_histogram": buckets, "specs": [dataclasses.asdict(s) for s in specs]}
+    return extra, f"wrote {len(ids)} targets to {args.out} (hf_ratio buckets {buckets})"
 
 
 def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
@@ -240,41 +234,29 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
     return ids, [TargetSpec(path=os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
 
 
-# --------------------------------------------------------------------------
-# label
-# --------------------------------------------------------------------------
-
-def cmd_label(cfg: RunConfig, corpus_dir: str, out_dir: str, jobs: int) -> int:
-    tcfg = cfg.trace_config()
-    pcfg = cfg.pipeline_config()
-    ids, specs = _read_corpus(corpus_dir)
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_label(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
+    ids, specs = _read_corpus(args.corpus)
+    os.makedirs(args.out, exist_ok=True)
     samples = build_dataset(
         specs,
         tcfg,
         pcfg,
         cfg.tau,
-        os.path.join(out_dir, "features.csv"),
-        os.path.join(out_dir, "labels.csv"),
+        os.path.join(args.out, "features.csv"),
+        os.path.join(args.out, "labels.csv"),
         ids=ids,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     histogram = dict(sorted(Counter(s.label for s in samples).items()))
-    _write_manifest(out_dir, cfg, "label", {"tau": cfg.tau, "label_histogram": histogram})
-    print(f"label: {len(samples)} samples, histogram {histogram}")
-    return 0
+    return {"tau": cfg.tau, "label_histogram": histogram}, f"{len(samples)} samples, histogram {histogram}"
 
 
-# --------------------------------------------------------------------------
-# train
-# --------------------------------------------------------------------------
-
-def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, out_dir: str) -> int:
+def cmd_train(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
     kind = cfg.model_kind
-    feat_ids, x, _ = read_feature_csv(features_path)
-    label_ids, _, labels = read_feature_csv(labels_path)
+    feat_ids, x, _ = read_feature_csv(args.features)
+    label_ids, _, labels = read_feature_csv(args.labels)
     if labels is None:
-        raise ValueError(f"{labels_path}: missing label column")
+        raise ValueError(f"{args.labels}: missing label column")
     if feat_ids != label_ids:
         raise ValueError("feature and label CSVs disagree on sample ids")
     samples = [
@@ -282,89 +264,69 @@ def cmd_train(cfg: RunConfig, features_path: str, labels_path: str, out_dir: str
         for sid, row, lab in zip(feat_ids, x, labels)
     ]
     train_idx, val_idx = split_train_val(len(samples), cfg.train_ratio, cfg.split_seed)
-    classes = tuple(cfg.pipeline_config().ladder_ids())
-    model = train_from_samples([samples[i] for i in train_idx], classes, kind)
+    model = train_from_samples([samples[i] for i in train_idx], tuple(pcfg.ladder_ids()), kind)
     train_acc = float(
         np.mean([predict(model, samples[i].features) == samples[i].label for i in train_idx])
     )
     val_acc = float(np.mean([predict(model, samples[i].features) == samples[i].label for i in val_idx]))
-    os.makedirs(out_dir, exist_ok=True)
-    save_model(model, os.path.join(out_dir, "model.json"))
-    _write_manifest(
-        out_dir,
-        cfg,
-        "train",
-        {"kind": kind, "train_accuracy": train_acc, "val_accuracy": val_acc, "train_size": len(train_idx), "val_size": len(val_idx)},
-    )
-    print(f"train: kind={kind} train_accuracy={train_acc:.4f} val_accuracy={val_acc:.4f}")
-    return 0
+    os.makedirs(args.out, exist_ok=True)
+    save_model(model, os.path.join(args.out, "model.json"))
+    extra = {
+        "kind": kind,
+        "train_accuracy": train_acc,
+        "val_accuracy": val_acc,
+        "train_size": len(train_idx),
+        "val_size": len(val_idx),
+    }
+    return extra, f"kind={kind} train_accuracy={train_acc:.4f} val_accuracy={val_acc:.4f}"
 
 
-# --------------------------------------------------------------------------
-# run
-# --------------------------------------------------------------------------
-
-def cmd_run(cfg: RunConfig, model_path: str, target_path: str, out_dir: str, force: str | None) -> int:
-    tcfg = cfg.trace_config()
-    pcfg = cfg.pipeline_config()
+def cmd_run(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
     force_strategy = None
-    if force is not None:
+    if args.force_strategy is not None:
         try:
-            force_strategy = parse_strategy(force)
+            force_strategy = parse_strategy(args.force_strategy)
             pcfg.check_rung(force_strategy, tcfg)
         except ValueError as exc:
             raise ConfigError(f"--force-strategy: {exc}") from None
-    target = synth_target(TargetSpec(path=target_path), tcfg.full_size)
-    model = None if force is not None else load_model(model_path)
+    elif args.model is None:
+        raise ConfigError("run needs --model or --force-strategy")
+    target = synth_target(TargetSpec(path=args.target), tcfg.full_size)
+    model = load_model(args.model) if force_strategy is None else None
     out, report = run_accelerated(target, tcfg, pcfg, model, force_strategy=force_strategy)
-    os.makedirs(out_dir, exist_ok=True)
-    save_image(out, os.path.join(out_dir, "output.f32"), "rawf32")
-    save_image(out, os.path.join(out_dir, "output.pgm"), "pgm8")
-    _write_manifest(
-        out_dir,
-        cfg,
-        "run",
-        {
-            "strategy": report.strategy,
-            "hf_diff": report.features.hf_diff,
-            "hf_ratio": report.features.hf_ratio,
-            "cost": report.cost,
-            "speedup": report.speedup,
-        },
-    )
-    print(f"run: strategy={report.strategy} cost={report.cost:.4f} speedup={report.speedup:.3f}")
-    return 0
+    os.makedirs(args.out, exist_ok=True)
+    save_image(out, os.path.join(args.out, "output.f32"), "rawf32")
+    save_image(out, os.path.join(args.out, "output.pgm"), "pgm8")
+    extra = {
+        "strategy": report.strategy,
+        "hf_diff": report.features.hf_diff,
+        "hf_ratio": report.features.hf_ratio,
+        "cost": report.cost,
+        "speedup": report.speedup,
+    }
+    return extra, f"strategy={report.strategy} cost={report.cost:.4f} speedup={report.speedup:.3f}"
 
 
-# --------------------------------------------------------------------------
-# evaluate
-# --------------------------------------------------------------------------
-
-def cmd_evaluate(
-    cfg: RunConfig, model_path: str, corpus_dir: str, out_dir: str, split_sensitivity: bool, jobs: int
-) -> int:
-    tcfg = cfg.trace_config()
-    pcfg = cfg.pipeline_config()
-    model = load_model(model_path)
-    ids, specs = _read_corpus(corpus_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    result = evaluate(specs, tcfg, pcfg, model, ids=ids, jobs=jobs)
-    result.write_csv(os.path.join(out_dir, "evaluation.csv"))
-    _write_json(result.summary(), os.path.join(out_dir, "summary.json"))
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
+    model = load_model(args.model)
+    ids, specs = _read_corpus(args.corpus)
+    os.makedirs(args.out, exist_ok=True)
+    result = evaluate(specs, tcfg, pcfg, model, ids=ids, jobs=args.jobs)
+    result.write_csv(os.path.join(args.out, "evaluation.csv"))
+    _write_json(result.summary(), os.path.join(args.out, "summary.json"))
     extra: dict = {"summary": result.summary()}
-    if split_sensitivity:
+    if args.split_sensitivity:
         sensitive, robust = split_by_probe(ids, result.probe_ssims, cfg.tau_sensitivity)
         for name, bucket in (("sensitive", sensitive), ("robust", robust)):
-            with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="ascii", newline="\n") as fh:
+            with open(os.path.join(args.out, f"{name}.txt"), "w", encoding="ascii", newline="\n") as fh:
                 fh.writelines(f"{sid}\n" for sid in bucket)
         extra["sensitive"] = len(sensitive)
         extra["robust"] = len(robust)
-    _write_manifest(out_dir, cfg, "evaluate", extra)
-    print(
-        f"evaluate: {len(ids)} samples mean_ssim={result.mean_ssim:.4f} "
+    summary = (
+        f"{len(ids)} samples mean_ssim={result.mean_ssim:.4f} "
         f"mean_speedup={result.mean_speedup:.3f} histogram={result.histogram}"
     )
-    return 0
+    return extra, summary
 
 
 # --------------------------------------------------------------------------
@@ -378,10 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau", type=float, help="override labeling SSIM threshold")
     common.add_argument("--corpus-size", dest="corpus_size", type=int, help="override corpus size")
     common.add_argument("--corpus-kind", dest="corpus_kind", choices=_CORPUS_KINDS, help="recipe family")
-    common.add_argument("--model-kind", dest="model_kind", choices=_MODEL_KINDS)
+    common.add_argument("--model-kind", dest="model_kind", choices=TRAINERS)
     common.add_argument(
         "--jobs", type=int, default=1, help="parallel workers, capped at the CPU count (default 1, bit-stable)"
     )
+    common.add_argument("--out", "-o", required=True)
 
     parser = argparse.ArgumentParser(
         prog="freqskip",
@@ -390,28 +353,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corpus", parents=[common], help="materialize the frozen procedural corpus")
-    p.add_argument("--out", "-o", required=True)
+    p.set_defaults(handler=cmd_corpus)
 
     p = sub.add_parser("label", parents=[common], help="simulate strategies and emit feature/label CSVs")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", "-o", required=True)
+    p.set_defaults(handler=cmd_label)
 
     p = sub.add_parser("train", parents=[common], help="fit a decision model from labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--out", "-o", required=True)
+    p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("run", parents=[common], help="accelerated generation for a single target image")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", help="decision model; not read with --force-strategy")
     p.add_argument("--target", required=True)
-    p.add_argument("--out", "-o", required=True)
     p.add_argument("--force-strategy", dest="force_strategy")
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a model over a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", "-o", required=True)
     p.add_argument("--split-sensitivity", action="store_true")
+    p.set_defaults(handler=cmd_evaluate)
     return parser
 
 
@@ -423,30 +386,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
         cfg.apply_overrides(args)
-        cfg.validate()
-        if args.command == "corpus":
-            return cmd_corpus(cfg, args.out, args.jobs)
-        if args.command == "label":
-            return cmd_label(cfg, args.corpus, args.out, args.jobs)
-        if args.command == "train":
-            return cmd_train(cfg, args.features, args.labels, args.out)
-        if args.command == "run":
-            return cmd_run(cfg, args.model, args.target, args.out, args.force_strategy)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.model, args.corpus, args.out, args.split_sensitivity, args.jobs)
-        parser.error(f"unknown command {args.command!r}")
+        tcfg, pcfg = cfg.validate()
+        extra, summary = args.handler(args, cfg, tcfg, pcfg)
+        _write_manifest(args.out, cfg, args.command, extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ImageFormatError, ModelFormatError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ImageFormatError, ModelFormatError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    print(f"{args.command}: {summary}")
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -348,19 +348,15 @@ def train_forest(x, y, classes: tuple[str, ...], cfg: ForestConfig = ForestConfi
     )
 
 
-def train_two_stage(
-    x,
-    y,
-    classes: tuple[str, ...],
-    kind: str = "logreg",
-    cfg: LogRegConfig | TreeConfig | ForestConfig | None = None,
-) -> TrainedModel:
-    """Two independent models queried in order: skip decisions, then uncond.
+def train_two_stage(x, y, classes: tuple[str, ...]) -> TrainedModel:
+    """Two independent logistic regressions queried in order: skip
+    decisions, then uncond.
 
     The skip model sees all samples with non-skip labels collapsed to
     'none'; the uncond model is trained on the non-skip samples only.  At
     prediction time a skip answer wins outright, otherwise the uncond model
-    decides.
+    decides.  When the non-skip samples share one label, the uncond model is
+    a one-leaf tree predicting it.
     """
     x, y = _check_training_input(x, y)
     skip_classes = tuple(c for c in classes if c.startswith("skip_")) + ("none",)
@@ -371,20 +367,22 @@ def train_two_stage(
         raise ValueError("two-stage training needs at least one non-skip sample")
     y_rest = [y[i] for i in rest_rows]
     x_rest = x[rest_rows]
-    trainer = {"logreg": train_logreg, "tree": train_tree, "forest": train_forest}[kind]
-    args = (cfg,) if cfg is not None else ()
-    skip_model = trainer(x, y_skip, skip_classes, *args)
-    if kind == "logreg" and len(set(y_rest)) < 2:
+    skip_model = train_logreg(x, y_skip, skip_classes)
+    if len(set(y_rest)) < 2:
         # logreg cannot fit a single class; a one-leaf tree is the same constant
         uncond_model = train_tree(x_rest, y_rest, rest_classes)
     else:
-        uncond_model = trainer(x_rest, y_rest, rest_classes, *args)
+        uncond_model = train_logreg(x_rest, y_rest, rest_classes)
     return TrainedModel(
         kind="two_stage",
         classes=tuple(classes),
         standardizer=fit_standardizer(x),
         submodels=(skip_model, uncond_model),
     )
+
+
+# model kind -> trainer, each fitting ``(x, y, classes)`` with its default config
+TRAINERS = {"logreg": train_logreg, "tree": train_tree, "forest": train_forest, "two_stage": train_two_stage}
 
 
 # --------------------------------------------------------------------------
@@ -441,14 +439,6 @@ def predict(model: TrainedModel, features: FeatureVector) -> str:
 # serialization
 # --------------------------------------------------------------------------
 
-def _std_to_json(std: Standardizer) -> dict:
-    return {
-        "means": list(std.means),
-        "stds": list(std.stds),
-        "zero_variance": list(std.zero_variance),
-    }
-
-
 _NUMBER = (int, float)
 
 
@@ -478,16 +468,6 @@ def _std_from_json(obj: dict) -> Standardizer:
     return Standardizer(means=tuple(means), stds=tuple(stds), zero_variance=tuple(zero_variance))
 
 
-def _tree_to_json(nodes: TreeNodes) -> dict:
-    return {
-        "feature": list(nodes.feature),
-        "threshold": list(nodes.threshold),
-        "left": list(nodes.left),
-        "right": list(nodes.right),
-        "leaf_class": list(nodes.leaf_class),
-    }
-
-
 def _tree_from_json(obj: dict, n_classes: int, n_features: int) -> TreeNodes:
     """The tree's node arrays, checked to be the pre-order ``_TreeBuilder``
     writes: a leaf's class is in range, and an internal node (leaf class < 0)
@@ -515,14 +495,14 @@ def _model_to_json(model: TrainedModel) -> dict:
         "version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "classes": list(model.classes),
-        "standardizer": _std_to_json(model.standardizer),
+        "standardizer": asdict(model.standardizer),
     }
     if model.kind == "logreg":
         body["params"] = {"weights": model.weights.tolist(), "biases": model.biases.tolist()}
     elif model.kind == "tree":
-        body["params"] = {"tree": _tree_to_json(model.tree)}
+        body["params"] = {"tree": asdict(model.tree)}
     elif model.kind == "forest":
-        body["params"] = {"seed": model.forest_seed, "trees": [_tree_to_json(t) for t in model.trees]}
+        body["params"] = {"seed": model.forest_seed, "trees": [asdict(t) for t in model.trees]}
     elif model.kind == "two_stage":
         body["params"] = {
             "skip": _model_to_json(model.submodels[0]),

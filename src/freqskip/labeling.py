@@ -77,7 +77,14 @@ def _step_outputs(trace: StepTrace, keys: list[tuple[int, bool]]) -> list[np.nda
 def strategy_fidelity(
     target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy], ssim_params: SsimParams
 ) -> dict[str, float]:
-    """SSIM of each ladder strategy's output against the baseline output."""
+    """SSIM of each ladder strategy's output against the baseline output.
+
+    Each strategy is checked only to fit the K-step run
+    (``Strategy.validate_for``), not the decision window
+    (``PipelineConfig.check_rung``): no decision step is taken here.
+    ``label_sample``, ``run_accelerated`` and ``freqskip run`` apply the
+    window.
+    """
     return _simulate(StepTrace(target, cfg), ladder, ssim_params)
 
 
@@ -198,8 +205,9 @@ def split_by_probe(ids: list[str], probe_ssims: list[float], tau_s: float) -> tu
     return sensitive, robust
 
 
-def _probe_spec(spec: TargetSpec, cfg: TraceConfig, ssim_params: SsimParams, probe: Strategy) -> float:
-    return strategy_fidelity(synth_target(spec, cfg.full_size), cfg, (probe,), ssim_params)[probe.ident]
+def _probe_spec(spec: TargetSpec, cfg: TraceConfig, ssim_params: SsimParams) -> float:
+    target = synth_target(spec, cfg.full_size)
+    return strategy_fidelity(target, cfg, (SENSITIVITY_PROBE,), ssim_params)[SENSITIVITY_PROBE.ident]
 
 
 def sensitivity_split(
@@ -207,17 +215,17 @@ def sensitivity_split(
     cfg: TraceConfig,
     tau_s: float,
     ssim_params: SsimParams = SsimParams(),
-    probe: Strategy = SENSITIVITY_PROBE,
     ids: list[str] | None = None,
     jobs: int = 1,
 ) -> tuple[list[str], list[str]]:
-    """:func:`split_by_probe` of the probe SSIM of every spec, on ``jobs``
-    processes and without a decision model.
+    """:func:`split_by_probe` of the :data:`SENSITIVITY_PROBE` SSIM of every
+    spec, on ``jobs`` processes and without a decision model.
 
-    ``pipeline.evaluate`` records the same probe SSIMs in its own pass
-    (``EvalResult.probe_ssims``), which is how ``freqskip evaluate
-    --split-sensitivity`` splits its corpus.
+    The probe is fixed: ``pipeline.evaluate`` records the same probe SSIMs in
+    its own pass (``EvalResult.probe_ssims``), which is how ``freqskip
+    evaluate --split-sensitivity`` splits its corpus, so this split always
+    equals that one.
     """
     ids = sample_ids(specs, ids)
-    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg, ssim_params=ssim_params, probe=probe), specs, jobs)
+    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg, ssim_params=ssim_params), specs, jobs)
     return split_by_probe(ids, probe_ssims, tau_s)

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import _map_jobs, sample_ids
-from .decision import FeatureVector, TrainedModel, predict, train_forest, train_logreg, train_tree, train_two_stage
+from .decision import TRAINERS, FeatureVector, TrainedModel, predict
 from .features import step_features
 from .frequency import HFParams, hf_ratio
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
@@ -250,21 +250,13 @@ def evaluate(
     return EvalResult(ids=ids, reports=[r for r, _ in scored], probe_ssims=[p for _, p in scored])
 
 
-_TRAINERS = {
-    "logreg": train_logreg,
-    "tree": train_tree,
-    "forest": train_forest,
-    "two_stage": train_two_stage,
-}
-
-
 def train_from_samples(samples, classes: tuple[str, ...], kind: str = "logreg") -> TrainedModel:
     """Fit a decision model of the given kind from labeled samples."""
-    if kind not in _TRAINERS:
-        raise ValueError(f"unknown model kind {kind!r} (expected one of {sorted(_TRAINERS)})")
+    if kind not in TRAINERS:
+        raise ValueError(f"unknown model kind {kind!r} (expected one of {sorted(TRAINERS)})")
     x = np.array([s.features.as_array() for s in samples])
     y = [s.label for s in samples]
-    return _TRAINERS[kind](x, y, classes)
+    return TRAINERS[kind](x, y, classes)
 
 
 @dataclass(frozen=True)

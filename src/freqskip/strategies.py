@@ -200,6 +200,12 @@ def apply_strategy(
     decision overhead).  Only the emitting step named by :func:`output_key`
     is built, on a fresh trace; results are bit-identical to running the
     full trace.
+
+    The strategy is checked only to fit the K-step run
+    (:meth:`Strategy.validate_for`), not the decision window
+    (``PipelineConfig.check_rung``): no decision step is taken here.
+    ``pipeline.run_accelerated``, ``labeling.label_sample`` and ``freqskip
+    run`` apply the window.
     """
     cost = CostModel(weights=cfg.cost_weights, overhead=0.0).strategy_cost(strategy)
     return decode_final(StepTrace(target, cfg), *output_key(strategy, cfg.steps)), cost

@@ -309,6 +309,43 @@ class TestRunCommand:
         save_image(baseline, ref_path, "rawf32")
         assert (out / "output.f32").read_bytes() == ref_path.read_bytes()
 
+    def test_force_strategy_needs_no_model(self, workspace, tmp_path):
+        target = ["--target", str(workspace / "corpus" / "s0002.f32"), "--force-strategy", "none"]
+        with_model, without = tmp_path / "with_model", tmp_path / "without"
+        assert run_cli("run", "--model", str(workspace / "model" / "model.json"), *target, "-o", str(with_model)) == 0
+        assert run_cli("run", *target, "-o", str(without)) == 0
+        assert (without / "output.f32").read_bytes() == (with_model / "output.f32").read_bytes()
+
+    def test_neither_model_nor_forced_strategy_is_2(self, tmp_path):
+        # the target does not exist: reading it would exit 3
+        assert run_cli("run", "--target", str(tmp_path / "no_target.f32"), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
+
+class TestManifests:
+    BASE = {"command", "config_hash", "config"}
+
+    def test_each_command_writes_its_manifest(self, workspace, tmp_path):
+        model = str(workspace / "model" / "model.json")
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0001"])
+        target = str(corpus / "s0000.f32")
+        assert run_cli("run", "--model", model, "--target", target, "-o", str(tmp_path / "run")) == 0
+        argv = ["evaluate", "--model", model, "--corpus", str(corpus)]
+        assert run_cli(*argv, "-o", str(tmp_path / "evaluate")) == 0
+        assert run_cli(*argv, "--split-sensitivity", "-o", str(tmp_path / "split")) == 0
+        extras = {
+            workspace / "corpus": ("corpus", {"ids", "hf_ratio_histogram", "specs"}),
+            workspace / "labels": ("label", {"tau", "label_histogram"}),
+            workspace / "model": ("train", {"kind", "train_accuracy", "val_accuracy", "train_size", "val_size"}),
+            tmp_path / "run": ("run", {"strategy", "hf_diff", "hf_ratio", "cost", "speedup"}),
+            tmp_path / "evaluate": ("evaluate", {"summary"}),
+            tmp_path / "split": ("evaluate", {"summary", "sensitive", "robust"}),
+        }
+        for out, (command, keys) in extras.items():
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert set(manifest) == self.BASE | keys
+
 
 class TestEvaluateCommand:
     def test_summary_matches_csv_and_histogram(self, workspace, tmp_path):

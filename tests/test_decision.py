@@ -305,7 +305,7 @@ class TestTwoStage:
     def test_single_rest_class_falls_back(self, rng):
         x = np.vstack([rng.normal((0, 0), 0.3, (30, 2)), rng.normal((8, 8), 0.3, (30, 2))])
         y = ["skip_3"] * 30 + ["uncond_3"] * 30
-        model = train_two_stage(x, y, CLASSES4, kind="logreg")
+        model = train_two_stage(x, y, CLASSES4)
         assert predict(model, FeatureVector(8.0, 8.0)) == "uncond_3"
 
 
