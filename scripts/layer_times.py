@@ -13,10 +13,10 @@ one BLAS thread.  The target is sample 0 of the frozen corpus
 Two columns: ``cold`` empties the process-wide memos (the step
 perturbations, the area-resize period blocks and the Gaussian filter
 bands) before every call, outside the timed region; ``warm`` keeps them,
-as a long-lived process does.  The model for ``predict`` and
-``run_accelerated`` is a logistic regression trained on the first 16
-corpus samples.  Times depend on the host; a shared host makes them
-indicative only.
+as a long-lived process does.  ``predict`` has one row per model kind
+(logreg, tree, forest, two_stage), each fitted on the labels of the first
+16 corpus samples; ``run_accelerated`` uses the logreg one.  Times depend
+on the host; a shared host makes them indicative only.
 
 Usage: PYTHONPATH=src python scripts/layer_times.py [--calls N] [--seed S]
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from freqskip import generator, image
 from freqskip.corpus import default_corpus
-from freqskip.decision import predict
+from freqskip.decision import TRAINERS, predict
 from freqskip.features import decision_features
 from freqskip.frequency import dft2, hf_diff, hf_ratio, sobel_magnitude
 from freqskip.generator import TraceConfig, step_images, synth_target
@@ -71,7 +71,8 @@ def layers(seed: int) -> list[tuple[str, object]]:
     specs = default_corpus(200, seed=seed)
     spec = specs[0]
     target = synth_target(spec, cfg.full_size)
-    model = train_from_samples(build_dataset(specs[:16], cfg, pcfg, TAU), tuple(pcfg.ladder_ids()), "logreg")
+    samples = build_dataset(specs[:16], cfg, pcfg, TAU)
+    models = {kind: train_from_samples(samples, tuple(pcfg.ladder_ids()), kind) for kind in TRAINERS}
     i8 = step_images(target, cfg, 8).combined
     i9 = step_images(target, cfg, 9).combined
     a9 = resize_area(i9, pcfg.analysis_size, pcfg.analysis_size)
@@ -96,11 +97,11 @@ def layers(seed: int) -> list[tuple[str, object]]:
         (f"hf_ratio {n}", lambda: hf_ratio(a9, pcfg.hf)),
         ("ssim_map 256", lambda: ssim_map(target, up9, pcfg.ssim)),
         ("decision_features", lambda: decision_features(target, cfg, pcfg.decision_step, n, pcfg.hf)),
-        ("predict", lambda: predict(model, feats)),
+        *((f"predict {kind}", lambda m=m: predict(m, feats)) for kind, m in models.items()),
         ("label_sample", lambda: label_sample(target, cfg, pcfg, TAU)),
         ("run_accelerated skip_3", lambda: run_accelerated(target, cfg, pcfg, None, Strategy.skip(3))),
         ("run_accelerated uncond_3", lambda: run_accelerated(target, cfg, pcfg, None, Strategy.uncond(3))),
-        ("run_accelerated model", lambda: run_accelerated(target, cfg, pcfg, model)),
+        ("run_accelerated model", lambda: run_accelerated(target, cfg, pcfg, models["logreg"])),
     ]
 
 
@@ -111,7 +112,7 @@ def run(args) -> int:
     for name, fn in layers(args.seed):
         cold = per_call_ms(fn, args.calls, cold=True)
         warm = per_call_ms(fn, args.calls, cold=False)
-        print(f"| `{name}` | {cold:.2f} | {warm:.2f} |", flush=True)
+        print(f"| `{name}` | {cold:.3f} | {warm:.3f} |", flush=True)
     return 0
 
 

@@ -5,7 +5,6 @@ with an explicit compute-cost model."""
 from .decision import (
     FeatureVector,
     ForestConfig,
-    LogRegConfig,
     Standardizer,
     TrainedModel,
     TreeConfig,

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import _map_jobs, blob_corpus, default_corpus, default_ids, family_a, family_b
-from .decision import TRAINERS, FeatureVector, load_model, predict, save_model, split_train_val
+from .decision import TRAINERS, FeatureVector, json_fits, load_model, predict, save_model, split_train_val
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .image import ImageFormatError, save_image
@@ -101,7 +101,7 @@ class RunConfig:
         for key, value in data.items():
             if key not in fields:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            if not _json_fits(value, hints[key]):
+            if not json_fits(value, hints[key]):
                 raise ConfigError(f"{path}: config key {key!r} must be {fields[key].type}, got {value!r}")
             if isinstance(value, list):
                 value = tuple(value)
@@ -170,14 +170,6 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
-
-
-def _json_fits(value: object, hint: type) -> bool:
-    """Whether a JSON value has the field type ``hint``: an int is not a bool,
-    a float may be an int, and a tuple is a list of its element type."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_json_fits(v, typing.get_args(hint)[0]) for v in value)
-    return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
 
 
 def _write_json(obj: dict, path: str) -> None:

@@ -1,9 +1,14 @@
 """Lightweight decision models over the two handcrafted frequency features.
 
 Three classifier families are available: multinomial logistic regression
-(full-batch gradient descent, deterministic zero init), a CART decision tree
-(Gini impurity, midpoint thresholds), and a random forest (seeded bootstrap
-plus per-split feature subsets).  A fitted model carries its feature
+(full-batch gradient descent, deterministic zero init), a random forest of
+CART trees (Gini impurity, midpoint thresholds, seeded bootstrap plus
+per-split feature subsets), and a decision tree, which is the one-tree
+forest grown on every sample and every feature; trees and forests predict
+by the same vote.  A two-stage model asks a skip stage (every skip class
+plus ``none``) and then, on ``none``, an uncond stage trained on the
+non-skip samples; each stage is a logistic regression, or a one-leaf tree
+when its samples share one label.  A fitted model carries its feature
 standardizer and the class list it predicts over, in the order it was
 trained with; ties anywhere resolve toward the later list position.  That
 is the less aggressive class only when the list follows
@@ -13,9 +18,11 @@ written, so with the default ladder a tie between ``skip_1`` and
 speedup.
 
 Models serialize to a versioned JSON file; a round-trip preserves all
-predictions bit-exactly.  Loading checks every field's type and every tree's
-shape, so a malformed file raises :class:`ModelFormatError`, and tree walks
-always end: each internal node's children are later nodes.
+predictions bit-exactly.  Loading checks every field's type, every tree's
+shape, that a forest has a tree, and that a two-stage model's stages answer
+only with the model's own classes, so a malformed file raises
+:class:`ModelFormatError`, and tree walks always end: each internal node's
+children are later nodes.
 """
 
 from __future__ import annotations
@@ -23,11 +30,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 MODEL_FORMAT_VERSION = 1
+
+# logistic regression: L2 penalty, descent step, and the stopping rule
+LOGREG_L2 = 1e-3
+LOGREG_LEARNING_RATE = 0.1
+LOGREG_MAX_EPOCHS = 2000
+LOGREG_GRAD_TOL = 1e-6
 
 
 class ModelFormatError(ValueError):
@@ -99,14 +113,6 @@ def split_train_val(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.nda
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LogRegConfig:
-    l2: float = 1e-3
-    learning_rate: float = 0.1
-    max_epochs: int = 2000
-    grad_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 4
     min_leaf: int = 5
@@ -140,10 +146,14 @@ class TrainedModel:
     standardizer: Standardizer
     weights: np.ndarray | None = None  # logreg: (C, d)
     biases: np.ndarray | None = None  # logreg: (C,)
-    tree: TreeNodes | None = None
-    trees: tuple[TreeNodes, ...] = ()
+    trees: tuple[TreeNodes, ...] = ()  # tree: exactly one
     forest_seed: int = 0
     submodels: tuple["TrainedModel", ...] = ()  # two_stage: (skip, uncond)
+
+    @property
+    def tree(self) -> TreeNodes:
+        """The one tree of a ``tree`` model."""
+        return self.trees[0]
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +200,7 @@ def logreg_loss_grad(
     return float(loss), grad_w, grad_b
 
 
-def train_logreg(x, y, classes: tuple[str, ...], cfg: LogRegConfig = LogRegConfig()) -> TrainedModel:
+def train_logreg(x, y, classes: tuple[str, ...]) -> TrainedModel:
     """Multinomial logistic regression by deterministic full-batch descent."""
     x, y = _check_training_input(x, y)
     if len(set(y)) < 2:
@@ -201,12 +211,12 @@ def train_logreg(x, y, classes: tuple[str, ...], cfg: LogRegConfig = LogRegConfi
     n_classes, n_feat = len(classes), x.shape[1]
     w = np.zeros((n_classes, n_feat))
     b = np.zeros(n_classes)
-    for _ in range(cfg.max_epochs):
-        _, grad_w, grad_b = logreg_loss_grad(w, b, xs, y_idx, cfg.l2)
-        if max(np.abs(grad_w).max(), np.abs(grad_b).max()) < cfg.grad_tol:
+    for _ in range(LOGREG_MAX_EPOCHS):
+        _, grad_w, grad_b = logreg_loss_grad(w, b, xs, y_idx, LOGREG_L2)
+        if max(np.abs(grad_w).max(), np.abs(grad_b).max()) < LOGREG_GRAD_TOL:
             break
-        w = w - cfg.learning_rate * grad_w
-        b = b - cfg.learning_rate * grad_b
+        w = w - LOGREG_LEARNING_RATE * grad_w
+        b = b - LOGREG_LEARNING_RATE * grad_b
     return TrainedModel(kind="logreg", classes=tuple(classes), standardizer=std, weights=w, biases=b)
 
 
@@ -218,11 +228,9 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _majority(y_idx: np.ndarray, n_classes: int) -> int:
-    # ties resolve toward the later class index
-    counts = np.bincount(y_idx, minlength=n_classes)
-    best = counts.max()
-    return int(np.max(np.where(counts == best)[0]))
+def _last_argmax(values: np.ndarray) -> int:
+    best = values.max()
+    return int(np.max(np.where(values == best)[0]))
 
 
 def _best_split(
@@ -256,65 +264,35 @@ def _best_split(
     return best[1], best[2]
 
 
-class _TreeBuilder:
-    def __init__(self, n_classes: int, max_depth: int, min_leaf: int):
-        self.n_classes = n_classes
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_class: list[int] = []
-
-    def _add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_class.append(-1)
-        return len(self.feature) - 1
-
-    def build(self, xs: np.ndarray, y_idx: np.ndarray, depth: int, feature_picker) -> int:
-        node = self._add_node()
-        pure = np.unique(y_idx).size <= 1
-        split = None
-        if not pure and depth < self.max_depth:
-            split = _best_split(xs, y_idx, self.n_classes, self.min_leaf, feature_picker(xs.shape[1]))
-        if split is None:
-            self.leaf_class[node] = _majority(y_idx, self.n_classes)
-            return node
-        f, thr = split
-        mask = xs[:, f] <= thr
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self.build(xs[mask], y_idx[mask], depth + 1, feature_picker)
-        self.right[node] = self.build(xs[~mask], y_idx[~mask], depth + 1, feature_picker)
-        return node
-
-    def nodes(self) -> TreeNodes:
-        return TreeNodes(
-            feature=tuple(self.feature),
-            threshold=tuple(self.threshold),
-            left=tuple(self.left),
-            right=tuple(self.right),
-            leaf_class=tuple(self.leaf_class),
-        )
+def _shift(children: tuple[int, ...], by: int) -> tuple[int, ...]:
+    return tuple(c + by if c >= 0 else c for c in children)
 
 
-def _all_features(d: int) -> np.ndarray:
-    return np.arange(d)
+def _grow(xs: np.ndarray, y_idx: np.ndarray, n_classes: int, max_depth: int, min_leaf: int, pick) -> TreeNodes:
+    """CART tree in pre-order: the root, then its left and right subtrees.
 
-
-def train_tree(x, y, classes: tuple[str, ...], cfg: TreeConfig = TreeConfig()) -> TrainedModel:
-    """CART with Gini impurity and midpoint candidate thresholds."""
-    x, y = _check_training_input(x, y)
-    std = fit_standardizer(x)
-    xs = std.apply(x)
-    y_idx = _encode_labels(y, classes)
-    builder = _TreeBuilder(len(classes), cfg.max_depth, cfg.min_leaf)
-    builder.build(xs, y_idx, 0, _all_features)
-    return TrainedModel(kind="tree", classes=tuple(classes), standardizer=std, tree=builder.nodes())
+    A node splits while it is impure, ``max_depth`` is positive and a split
+    leaves ``min_leaf`` samples each side; a leaf holds its majority class,
+    ties toward the later class index.  ``pick(d)`` names the features a
+    split may use, and is called once per candidate node in pre-order.
+    """
+    split = None
+    if np.unique(y_idx).size > 1 and max_depth > 0:
+        split = _best_split(xs, y_idx, n_classes, min_leaf, pick(xs.shape[1]))
+    if split is None:
+        return TreeNodes((-1,), (0.0,), (-1,), (-1,), (_last_argmax(np.bincount(y_idx, minlength=n_classes)),))
+    f, thr = split
+    mask = xs[:, f] <= thr
+    lo = _grow(xs[mask], y_idx[mask], n_classes, max_depth - 1, min_leaf, pick)
+    hi = _grow(xs[~mask], y_idx[~mask], n_classes, max_depth - 1, min_leaf, pick)
+    n_lo = len(lo.feature)
+    return TreeNodes(
+        feature=(f, *lo.feature, *hi.feature),
+        threshold=(thr, *lo.threshold, *hi.threshold),
+        left=(1, *_shift(lo.left, 1), *_shift(hi.left, 1 + n_lo)),
+        right=(1 + n_lo, *_shift(lo.right, 1), *_shift(hi.right, 1 + n_lo)),
+        leaf_class=(-1, *lo.leaf_class, *hi.leaf_class),
+    )
 
 
 def train_forest(x, y, classes: tuple[str, ...], cfg: ForestConfig = ForestConfig()) -> TrainedModel:
@@ -332,13 +310,11 @@ def train_forest(x, y, classes: tuple[str, ...], cfg: ForestConfig = ForestConfi
         rng = np.random.default_rng((cfg.seed, t))
         idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         if n_feat >= d:
-            picker = _all_features
+            pick = np.arange
         else:
-            def picker(dim: int, rng=rng, k=n_feat) -> np.ndarray:
+            def pick(dim: int, rng=rng, k=n_feat) -> np.ndarray:
                 return np.sort(rng.choice(dim, size=min(k, dim), replace=False))
-        builder = _TreeBuilder(len(classes), cfg.max_depth, cfg.min_leaf)
-        builder.build(xs[idx], y_idx[idx], 0, picker)
-        trees.append(builder.nodes())
+        trees.append(_grow(xs[idx], y_idx[idx], len(classes), cfg.max_depth, cfg.min_leaf, pick))
     return TrainedModel(
         kind="forest",
         classes=tuple(classes),
@@ -348,36 +324,51 @@ def train_forest(x, y, classes: tuple[str, ...], cfg: ForestConfig = ForestConfi
     )
 
 
-def train_two_stage(x, y, classes: tuple[str, ...]) -> TrainedModel:
-    """Two independent logistic regressions queried in order: skip
-    decisions, then uncond.
+def train_tree(x, y, classes: tuple[str, ...], cfg: TreeConfig = TreeConfig()) -> TrainedModel:
+    """CART with Gini impurity and midpoint candidate thresholds: the forest
+    of one tree, grown on every sample and every feature."""
+    x, y = _check_training_input(x, y)
+    one_tree = ForestConfig(
+        n_trees=1, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf, bootstrap=False, n_features=x.shape[1]
+    )
+    return replace(train_forest(x, y, classes, one_tree), kind="tree")
 
-    The skip model sees all samples with non-skip labels collapsed to
-    'none'; the uncond model is trained on the non-skip samples only.  At
-    prediction time a skip answer wins outright, otherwise the uncond model
-    decides.  When the non-skip samples share one label, the uncond model is
-    a one-leaf tree predicting it.
+
+def _fit_stage(x: np.ndarray, y: list[str], classes: tuple[str, ...]) -> TrainedModel:
+    # logreg cannot fit a single class; a one-leaf tree is the same constant
+    if len(set(y)) < 2:
+        return train_tree(x, y, classes)
+    return train_logreg(x, y, classes)
+
+
+def train_two_stage(x, y, classes: tuple[str, ...]) -> TrainedModel:
+    """Two independent stages queried in order: skip decisions, then uncond.
+
+    The skip stage sees all samples with non-skip labels collapsed to
+    'none' (so ``classes`` must hold ``none``); the uncond stage is trained
+    on the non-skip samples only, so a corpus labelled all skip is rejected.
+    At prediction time a skip answer wins outright, otherwise the uncond
+    stage decides.  Each stage is a logistic regression, or a one-leaf tree
+    when its samples share one label: with no skip label at all, the skip
+    stage always answers 'none'.
     """
     x, y = _check_training_input(x, y)
+    if "none" not in classes:
+        raise ValueError(f"two-stage training needs 'none' in the class list, got {tuple(classes)}")
     skip_classes = tuple(c for c in classes if c.startswith("skip_")) + ("none",)
     rest_classes = tuple(c for c in classes if not c.startswith("skip_"))
     y_skip = [label if label.startswith("skip_") else "none" for label in y]
     rest_rows = [i for i, label in enumerate(y) if not label.startswith("skip_")]
     if not rest_rows:
         raise ValueError("two-stage training needs at least one non-skip sample")
-    y_rest = [y[i] for i in rest_rows]
-    x_rest = x[rest_rows]
-    skip_model = train_logreg(x, y_skip, skip_classes)
-    if len(set(y_rest)) < 2:
-        # logreg cannot fit a single class; a one-leaf tree is the same constant
-        uncond_model = train_tree(x_rest, y_rest, rest_classes)
-    else:
-        uncond_model = train_logreg(x_rest, y_rest, rest_classes)
     return TrainedModel(
         kind="two_stage",
         classes=tuple(classes),
         standardizer=fit_standardizer(x),
-        submodels=(skip_model, uncond_model),
+        submodels=(
+            _fit_stage(x, y_skip, skip_classes),
+            _fit_stage(x[rest_rows], [y[i] for i in rest_rows], rest_classes),
+        ),
     )
 
 
@@ -407,24 +398,14 @@ def _tree_class(nodes: TreeNodes, xs: np.ndarray) -> int:
     return nodes.leaf_class[i]
 
 
-def _last_argmax(values: np.ndarray) -> int:
-    best = values.max()
-    return int(np.max(np.where(values == best)[0]))
-
-
 def predict(model: TrainedModel, features: FeatureVector) -> str:
     """Predicted strategy identifier; ties resolve to the later class in
     ``model.classes``."""
-    xs = model.standardizer.apply(features.as_array())
     if model.kind == "logreg":
-        probs = predict_proba(model, features)
-        return model.classes[_last_argmax(probs)]
-    if model.kind == "tree":
-        return model.classes[_tree_class(model.tree, xs)]
-    if model.kind == "forest":
-        votes = np.zeros(len(model.classes))
-        for nodes in model.trees:
-            votes[_tree_class(nodes, xs)] += 1.0
+        return model.classes[_last_argmax(predict_proba(model, features))]
+    if model.kind in ("tree", "forest"):
+        xs = model.standardizer.apply(features.as_array())
+        votes = np.bincount([_tree_class(nodes, xs) for nodes in model.trees], minlength=len(model.classes))
         return model.classes[_last_argmax(votes)]
     if model.kind == "two_stage":
         skip_model, uncond_model = model.submodels
@@ -439,18 +420,19 @@ def predict(model: TrainedModel, features: FeatureVector) -> str:
 # serialization
 # --------------------------------------------------------------------------
 
-_NUMBER = (int, float)
-
-
-def _is(value: object, kind) -> bool:
+def json_fits(value: object, hint) -> bool:
+    """Whether a loaded JSON value has the type ``hint``: a bool is only a
+    bool, a float may be an int, and ``tuple[T, ...]`` is a list of ``T``."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(json_fits(v, typing.get_args(hint)[0]) for v in value)
     # JSON true/false load as bool, a subclass of int; they count only as bool
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    return isinstance(value, (int, float) if hint is float else hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _field(obj: object, key: str, kind, item=None):
-    """``obj[key]`` if it is a ``kind`` (a list of ``item`` when given)."""
+def _field(obj: object, key: str, hint):
+    """``obj[key]`` if it is JSON of the type ``hint``."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if not _is(value, kind) or (item is not None and not all(_is(v, item) for v in value)):
+    if not json_fits(value, hint):
         raise ModelFormatError(f"model field {key!r} is missing or has the wrong type")
     return value
 
@@ -462,18 +444,18 @@ def _same_length(what: str, *arrays: list) -> int:
 
 
 def _std_from_json(obj: dict) -> Standardizer:
-    means, stds = _field(obj, "means", list, _NUMBER), _field(obj, "stds", list, _NUMBER)
-    zero_variance = _field(obj, "zero_variance", list, bool)
+    means, stds = _field(obj, "means", tuple[float, ...]), _field(obj, "stds", tuple[float, ...])
+    zero_variance = _field(obj, "zero_variance", tuple[bool, ...])
     _same_length("standardizer", means, stds, zero_variance)
     return Standardizer(means=tuple(means), stds=tuple(stds), zero_variance=tuple(zero_variance))
 
 
 def _tree_from_json(obj: dict, n_classes: int, n_features: int) -> TreeNodes:
-    """The tree's node arrays, checked to be the pre-order ``_TreeBuilder``
+    """The tree's node arrays, checked to be the pre-order ``_grow``
     writes: a leaf's class is in range, and an internal node (leaf class < 0)
     splits on a known feature into two later nodes."""
     arrays = {
-        key: _field(obj, key, list, _NUMBER if key == "threshold" else int)
+        key: _field(obj, key, tuple[float, ...] if key == "threshold" else tuple[int, ...])
         for key in ("feature", "threshold", "left", "right", "leaf_class")
     }
     n = _same_length("tree", *arrays.values())
@@ -519,13 +501,12 @@ def _model_from_json(obj: dict) -> TrainedModel:
     if obj["version"] != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {obj['version']!r}")
     kind = _field(obj, "kind", str)
-    classes = tuple(_field(obj, "classes", list, str))
+    classes = tuple(_field(obj, "classes", tuple[str, ...]))
     std = _std_from_json(_field(obj, "standardizer", dict))
     params = _field(obj, "params", dict)
     if kind == "logreg":
-        weights, biases = _field(params, "weights", list, list), _field(params, "biases", list, _NUMBER)
-        if not all(_is(v, _NUMBER) for row in weights for v in row):
-            raise ModelFormatError("model field 'weights' is missing or has the wrong type")
+        weights = _field(params, "weights", tuple[tuple[float, ...], ...])
+        biases = _field(params, "biases", tuple[float, ...])
         _same_length("logreg class", classes, weights, biases)
         _same_length("logreg feature", std.means, *weights)
         return TrainedModel(
@@ -535,24 +516,23 @@ def _model_from_json(obj: dict) -> TrainedModel:
             weights=np.array(weights, dtype=np.float64),
             biases=np.array(biases, dtype=np.float64),
         )
-    if kind == "tree":
-        tree = _tree_from_json(_field(params, "tree", dict), len(classes), len(std.means))
-        return TrainedModel(kind=kind, classes=classes, standardizer=std, tree=tree)
-    if kind == "forest":
+    if kind in ("tree", "forest"):
+        trees = (_field(params, "tree", dict),) if kind == "tree" else _field(params, "trees", tuple[dict, ...])
+        if not trees:
+            raise ModelFormatError("forest has no trees")
         return TrainedModel(
             kind=kind,
             classes=classes,
             standardizer=std,
-            trees=tuple(_tree_from_json(t, len(classes), len(std.means)) for t in _field(params, "trees", list, dict)),
-            forest_seed=_field(params, "seed", int),
+            trees=tuple(_tree_from_json(t, len(classes), len(std.means)) for t in trees),
+            forest_seed=_field(params, "seed", int) if kind == "forest" else 0,
         )
     if kind == "two_stage":
-        return TrainedModel(
-            kind=kind,
-            classes=classes,
-            standardizer=std,
-            submodels=tuple(_model_from_json(_field(params, key, dict)) for key in ("skip", "uncond")),
-        )
+        stages = tuple(_model_from_json(_field(params, key, dict)) for key in ("skip", "uncond"))
+        for key, stage in zip(("skip", "uncond"), stages):
+            if not set(stage.classes) <= set(classes):
+                raise ModelFormatError(f"two-stage {key} stage classes {stage.classes} are not all in {classes}")
+        return TrainedModel(kind=kind, classes=classes, standardizer=std, submodels=stages)
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 

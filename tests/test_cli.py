@@ -135,6 +135,22 @@ class TestExitCodes:
         target = str(workspace / "corpus" / "s0000.f32")
         assert run_cli("run", "--model", str(bad), "--target", target, "-o", str(tmp_path / "o")) == 3
 
+    def test_two_stage_class_outside_model_is_3(self, tmp_path, workspace):
+        # a skip stage answering a rung outside the model's classes (and the ladder)
+        labels = workspace / "labels"
+        argv = ["train", "--features", str(labels / "features.csv"), "--labels", str(labels / "labels.csv")]
+        assert run_cli(*argv, "--model-kind", "two_stage", "-o", str(tmp_path / "m")) == 0
+        body = json.loads((tmp_path / "m" / "model.json").read_text())
+        skip_stage = body["params"]["skip"]
+        i = skip_stage["classes"].index("skip_3")
+        skip_stage["classes"][i] = "skip_5"
+        skip_stage["params"]["biases"][i] = 1e6
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        target = str(workspace / "corpus" / "s0000.f32")
+        assert run_cli("run", "--model", str(bad), "--target", target, "-o", str(tmp_path / "o")) == 3
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_below_one_is_2(self, workspace, tmp_path):
         for jobs in ("0", "-1"):
             with pytest.raises(SystemExit) as exc:

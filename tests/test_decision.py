@@ -308,6 +308,28 @@ class TestTwoStage:
         model = train_two_stage(x, y, CLASSES4)
         assert predict(model, FeatureVector(8.0, 8.0)) == "uncond_3"
 
+    def test_no_skip_label_falls_back(self, rng, tmp_path):
+        # every skip-stage label is 'none': that stage is a one-leaf tree
+        x = np.vstack([rng.normal((0, 0), 0.3, (10, 2)), rng.normal((8, 8), 0.3, (10, 2))])
+        y = ["uncond_3"] * 10 + ["none"] * 10
+        model = train_two_stage(x, y, CLASSES4)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        answers = set()
+        for row in rng.normal(4.0, 5.0, (50, 2)):
+            fv = FeatureVector(*row)
+            answers.add(predict(model, fv))
+            assert predict(back, fv) == predict(model, fv)
+        assert answers == {"uncond_3", "none"}
+
+    def test_all_skip_or_no_none_class_rejected(self, rng):
+        x = rng.normal(size=(20, 2))
+        with pytest.raises(ValueError, match="non-skip"):
+            train_two_stage(x, ["skip_3"] * 10 + ["skip_2"] * 10, CLASSES4)
+        with pytest.raises(ValueError, match="'none'"):
+            train_two_stage(x, ["skip_3"] * 10 + ["uncond_3"] * 10, ("skip_3", "uncond_3"))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["logreg", "tree", "forest", "two_stage"])
@@ -328,6 +350,27 @@ class TestSerialization:
         for row in probes:
             fv = FeatureVector(*row)
             assert predict(model, fv) == predict(back, fv)
+
+    def test_stage_class_outside_model_rejected(self, tmp_path, rng):
+        x = np.vstack([rng.normal((0, 0), 0.5, (30, 2)), rng.normal((6, 6), 0.5, (30, 2))])
+        path = tmp_path / "model.json"
+        save_model(train_two_stage(x, ["skip_3"] * 30 + ["uncond_3"] * 30, CLASSES4), path)
+        body = json.loads(path.read_text())
+        skip_stage = body["params"]["skip"]
+        skip_stage["classes"][skip_stage["classes"].index("skip_3")] = "skip_5"
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError, match="skip stage"):
+            load_model(path)
+
+    def test_forest_without_trees_rejected(self, tmp_path):
+        x, y = make_separable_set()
+        path = tmp_path / "model.json"
+        save_model(train_forest(x, y, CLASSES2, ForestConfig(n_trees=2)), path)
+        body = json.loads(path.read_text())
+        body["params"]["trees"] = []
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError, match="no trees"):
+            load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
