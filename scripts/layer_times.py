@@ -95,7 +95,7 @@ def layers(seed: int) -> list[tuple[str, object]]:
         (f"dft2 {n}", lambda: dft2(a9)),
         (f"hf_diff {n}", lambda: hf_diff(i9, i8, n)),
         (f"hf_ratio {n}", lambda: hf_ratio(a9, pcfg.hf)),
-        ("ssim_map 256", lambda: ssim_map(target, up9, pcfg.ssim)),
+        ("ssim_map 256", lambda: ssim_map(target, up9)),
         ("decision_features", lambda: decision_features(target, cfg, pcfg.decision_step, n, pcfg.hf)),
         *((f"predict {kind}", lambda m=m: predict(m, feats)) for kind, m in models.items()),
         ("label_sample", lambda: label_sample(target, cfg, pcfg, TAU)),

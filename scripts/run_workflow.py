@@ -4,15 +4,24 @@
 Materializes the corpus, labels it, trains a model, runs one sample, and
 evaluates the whole corpus.  Everything lands under the output directory;
 re-running with the same arguments reproduces every file byte for byte.
+After each stage it prints the stage's wall time and the peak resident set
+size so far of this process and of its largest finished child (the
+``--jobs`` pool workers), then the total wall time.
 
 Usage: PYTHONPATH=src python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T]
 """
 
 import argparse
+import resource
 import sys
+import time
 from pathlib import Path
 
 from freqskip.cli import main as cli
+
+
+def _peak_rss_mb(who: int) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def run(args):
@@ -56,11 +65,20 @@ def run(args):
             "--split-sensitivity",
         ],
     ]
+    total = 0.0
     for step in steps:
         print(f"$ freqskip {' '.join(step)}")
+        start = time.perf_counter()
         code = cli(step)
+        wall = time.perf_counter() - start
+        total += wall
+        print(
+            f"  {step[0]}: {wall:.2f} s wall, peak RSS {_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB"
+            f" (children {_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB)"
+        )
         if code != 0:
             return code
+    print(f"workflow: {total:.2f} s wall")
     return 0
 
 

@@ -19,7 +19,7 @@ from .decision import (
     train_two_stage,
 )
 from .features import decision_features
-from .frequency import HFParams, Spectrum, dft2, hf_diff, hf_ratio, sobel_magnitude
+from .frequency import HF_EPSILON, HFParams, Spectrum, dft2, hf_diff, hf_ratio, sobel_magnitude
 from .generator import (
     StepTrace,
     TargetSpec,
@@ -48,7 +48,7 @@ from .labeling import (
     split_by_probe,
     strategy_fidelity,
 )
-from .metrics import HfMaskParams, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
+from .metrics import HF_MASK_QUANTILE, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 from .pipeline import (
     EvalResult,
     GeneralizationReport,
@@ -61,6 +61,7 @@ from .pipeline import (
     train_from_samples,
 )
 from .strategies import (
+    DECISION_OVERHEAD,
     DEFAULT_LADDER,
     CostModel,
     Strategy,

@@ -35,7 +35,6 @@ from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .image import ImageFormatError, save_image
 from .labeling import LabeledSample, build_dataset, read_feature_csv, split_by_probe
-from .metrics import HfMaskParams, SsimParams
 from .pipeline import PipelineConfig, evaluate, run_accelerated, train_from_samples
 from .strategies import parse_strategy
 
@@ -55,7 +54,10 @@ class RunConfig:
 
     The defaults are the frozen experiment setup, taken from ``TraceConfig()``
     and ``PipelineConfig()``; every key can be set in the JSON config file and
-    a few common ones also by command-line flags.
+    a few common ones also by command-line flags.  The scoring and pricing
+    constants are not keys, since labels, tau and models mean something only
+    under them: ``metrics.SsimParams()``, ``metrics.HF_MASK_QUANTILE``,
+    ``frequency.HF_EPSILON`` and ``strategies.DECISION_OVERHEAD``.
     """
 
     seed: int = _TRACE.seed
@@ -67,14 +69,7 @@ class RunConfig:
     gap_gamma: float = _TRACE.gap_gamma
     decision_step: int = _PIPELINE.decision_step
     analysis_size: int = _PIPELINE.analysis_size
-    overhead: float = _PIPELINE.overhead
     hf_rho: float = _PIPELINE.hf.rho
-    hf_epsilon: float = _PIPELINE.hf.epsilon
-    ssim_window: int = _PIPELINE.ssim.window
-    ssim_sigma: float = _PIPELINE.ssim.sigma
-    ssim_k1: float = _PIPELINE.ssim.k1
-    ssim_k2: float = _PIPELINE.ssim.k2
-    hf_mask_quantile: float = _PIPELINE.hf_mask.quantile
     ladder: tuple[str, ...] = tuple(_PIPELINE.ladder_ids())
     tau: float = 0.84
     tau_sensitivity: float = 0.85
@@ -133,6 +128,8 @@ class RunConfig:
             raise ConfigError(f"unknown model_kind {self.model_kind!r}")
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+        if self.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
         return tcfg, pcfg
 
     def trace_config(self) -> TraceConfig:
@@ -148,16 +145,8 @@ class RunConfig:
         pcfg = PipelineConfig(
             decision_step=self.decision_step,
             analysis_size=self.analysis_size,
-            hf=HFParams(rho=self.hf_rho, epsilon=self.hf_epsilon),
-            ssim=SsimParams(
-                window=self.ssim_window,
-                sigma=self.ssim_sigma,
-                k1=self.ssim_k1,
-                k2=self.ssim_k2,
-            ),
-            hf_mask=HfMaskParams(quantile=self.hf_mask_quantile),
+            hf=HFParams(rho=self.hf_rho),
             ladder=tuple(parse_strategy(ident) for ident in self.ladder),
-            overhead=self.overhead,
         )
         pcfg.validate_for(self.trace_config())
         return pcfg

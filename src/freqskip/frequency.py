@@ -7,7 +7,8 @@ Two complementary measurements drive acceleration decisions:
   has stabilized between steps.
 * ``hf_ratio``: fraction of total Fourier magnitude outside a centered disc
   of normalized radius rho in the shifted spectrum; small values mean the
-  image carries little fine detail to begin with.
+  image carries little fine detail to begin with.  The mask radius is a
+  setting (:class:`HFParams`); the stabilizer :data:`HF_EPSILON` is not.
 
 The forward transform is numpy's unnormalized 2-D FFT (``np.fft.fft2``),
 which accepts any image size; on the same input it returns bit-identical
@@ -23,23 +24,23 @@ import numpy as np
 from .image import require_gray, resize_area
 
 
+# added to the spectral magnitude sum, so the ratio is finite on all-zero images
+HF_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class HFParams:
-    """Mask radius and stabilizer for the spectral ratio.
+    """Mask radius for the spectral ratio.
 
     rho is a normalized radius in (0, 1): bin distance from the spectrum
-    center is divided by min(H, W)/2 before comparison.  epsilon keeps the
-    ratio finite on all-zero images.
+    center is divided by min(H, W)/2 before comparison.
     """
 
     rho: float = 0.25
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
 def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     """Share of spectral magnitude beyond normalized radius rho.
 
-    ratio = sum_{bins outside the disc} |F| / (sum over all bins |F| + eps)
+    ratio = sum_{bins outside the disc} |F| / (sum over all bins |F| + HF_EPSILON)
     computed on the shifted spectrum; always in [0, 1).
     """
     arr = require_gray(img)
@@ -118,4 +119,4 @@ def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     xx = np.arange(w)[None, :] - cx
     dist = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0)
     high = mag[dist > params.rho]
-    return float(high.sum() / (mag.sum() + params.epsilon))
+    return float(high.sum() / (mag.sum() + HF_EPSILON))

@@ -99,8 +99,12 @@ class TraceConfig:
             raise ValueError("schedule must be strictly increasing and positive")
         if not 0.0 < self.gap_gamma < 1.0:
             raise ValueError(f"gap_gamma must be in (0, 1), got {self.gap_gamma}")
-        if self.gap_alpha < 0.0:
-            raise ValueError(f"gap_alpha must be >= 0, got {self.gap_alpha}")
+        if not 0.0 <= self.gap_alpha < math.inf:
+            raise ValueError(f"gap_alpha must be finite and >= 0, got {self.gap_alpha}")
+        if not math.isfinite(self.guidance):
+            raise ValueError(f"guidance must be finite, got {self.guidance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "cost_weights", default_cost_weights(self.schedule))
 
     @property

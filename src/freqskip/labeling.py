@@ -1,7 +1,8 @@
 """Ground-truth labels from exhaustive strategy simulation.
 
 Each sample is labeled with the most aggressive ladder strategy whose output
-keeps SSIM against the non-accelerated baseline at or above a threshold tau.
+keeps SSIM (the one ``metrics.SsimParams()``) against the non-accelerated
+baseline at or above a threshold tau.
 'none' always qualifies (its SSIM is exactly 1), so every sample gets a
 label.  The same simulation also splits a corpus into frequency-sensitive
 and frequency-robust halves by probing the most aggressive skip.
@@ -23,7 +24,7 @@ from .corpus import _map_jobs, sample_ids
 from .decision import FeatureVector
 from .features import step_features
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
-from .metrics import SsimParams, ssim_maps
+from .metrics import ssim_maps
 from .strategies import Strategy, ladder_order, output_key
 
 if TYPE_CHECKING:
@@ -41,7 +42,7 @@ class LabeledSample:
     ssims: dict[str, float]
 
 
-def _simulate(trace: StepTrace, ladder: Iterable[Strategy], ssim_params: SsimParams) -> dict[str, float]:
+def _simulate(trace: StepTrace, ladder: Iterable[Strategy]) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output.
 
     Outputs are emitted from the last step down, and each step is released
@@ -61,7 +62,7 @@ def _simulate(trace: StepTrace, ladder: Iterable[Strategy], ssim_params: SsimPar
     images = (img for _, group in groupby(order, key=itemgetter(0)) for img in _step_outputs(trace, list(group)))
     baseline = next(images)
     # map() drops each SSIM map before the next is built
-    scores = [1.0] + [float(v) for v in map(np.mean, ssim_maps(baseline, images, ssim_params))]
+    scores = [1.0] + [float(v) for v in map(np.mean, ssim_maps(baseline, images))]
     by_key = dict(zip(order, scores))
     return {ident: by_key[key] for ident, key in keys.items()}
 
@@ -74,9 +75,7 @@ def _step_outputs(trace: StepTrace, keys: list[tuple[int, bool]]) -> list[np.nda
     return outputs
 
 
-def strategy_fidelity(
-    target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy], ssim_params: SsimParams
-) -> dict[str, float]:
+def strategy_fidelity(target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy]) -> dict[str, float]:
     """SSIM of each ladder strategy's output against the baseline output.
 
     Each strategy is checked only to fit the K-step run
@@ -85,7 +84,7 @@ def strategy_fidelity(
     ``label_sample``, ``run_accelerated`` and ``freqskip run`` apply the
     window.
     """
-    return _simulate(StepTrace(target, cfg), ladder, ssim_params)
+    return _simulate(StepTrace(target, cfg), ladder)
 
 
 def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) -> str:
@@ -119,7 +118,7 @@ def label_sample(
     pcfg.validate_for(cfg)
     trace = StepTrace(target, cfg)
     feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
-    ssims = _simulate(trace, pcfg.ladder, pcfg.ssim)
+    ssims = _simulate(trace, pcfg.ladder)
     label = assign_label(ssims, ordered_ladder_ids(cfg, pcfg), tau)
     return LabeledSample(sample_id=sample_id, features=feats, label=label, ssims=ssims)
 
@@ -205,16 +204,15 @@ def split_by_probe(ids: list[str], probe_ssims: list[float], tau_s: float) -> tu
     return sensitive, robust
 
 
-def _probe_spec(spec: TargetSpec, cfg: TraceConfig, ssim_params: SsimParams) -> float:
+def _probe_spec(spec: TargetSpec, cfg: TraceConfig) -> float:
     target = synth_target(spec, cfg.full_size)
-    return strategy_fidelity(target, cfg, (SENSITIVITY_PROBE,), ssim_params)[SENSITIVITY_PROBE.ident]
+    return strategy_fidelity(target, cfg, (SENSITIVITY_PROBE,))[SENSITIVITY_PROBE.ident]
 
 
 def sensitivity_split(
     specs: list[TargetSpec],
     cfg: TraceConfig,
     tau_s: float,
-    ssim_params: SsimParams = SsimParams(),
     ids: list[str] | None = None,
     jobs: int = 1,
 ) -> tuple[list[str], list[str]]:
@@ -227,5 +225,5 @@ def sensitivity_split(
     equals that one.
     """
     ids = sample_ids(specs, ids)
-    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg, ssim_params=ssim_params), specs, jobs)
+    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg), specs, jobs)
     return split_by_probe(ids, probe_ssims, tau_s)

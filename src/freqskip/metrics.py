@@ -1,14 +1,16 @@
 """Objective fidelity metrics: SSIM, high-frequency SSIM, and mean L1.
 
 SSIM follows the standard definition with Gaussian-weighted local statistics
-(11-tap window, sigma 1.5, k1=0.01, k2=0.03) computed on reflect-padded
-inputs, so the returned map has the same shape as the inputs.  The
-high-frequency variant averages the SSIM map only over the reference image's
-strongest Sobel responses (top quartile by default), emphasizing fine-detail
-preservation that the plain mean washes out.  Callers that need both scores
-build one map and take ``np.mean`` and :func:`hf_mean` of it; callers that
-score several images against one reference use :func:`ssim_maps`, which
-filters the reference's moments once.
+(``SsimParams()``: 11-tap window, sigma 1.5, k1=0.01, k2=0.03, dynamic range
+1 as images are in [0, 1]) computed on reflect-padded inputs, so the
+returned map has the same shape as the inputs.  Labels, tau and every
+trained model are defined under that one SSIM.  The high-frequency variant
+averages the SSIM map only over the reference image's strongest Sobel
+responses (at or above their :data:`HF_MASK_QUANTILE`, the top quartile),
+emphasizing fine-detail preservation that the plain mean washes out.
+Callers that need both scores build one map and take ``np.mean`` and
+:func:`hf_mean` of it; callers that score several images against one
+reference use :func:`ssim_maps`, which filters the reference's moments once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class SsimParams:
     sigma: float = 1.5
     k1: float = 0.01
     k2: float = 0.03
-    dynamic_range: float = 1.0
 
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
@@ -37,20 +38,11 @@ class SsimParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.k1 <= 0.0 or self.k2 <= 0.0:
             raise ValueError("k1 and k2 must be positive")
-        if self.dynamic_range <= 0.0:
-            raise ValueError(f"dynamic_range must be positive, got {self.dynamic_range}")
 
 
-@dataclass(frozen=True)
-class HfMaskParams:
-    """Quantile of the reference Sobel magnitude above which pixels count as
-    high-frequency; ties at the quantile value are included."""
-
-    quantile: float = 0.75
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
+# quantile of the reference Sobel magnitude at or above which a pixel counts
+# as high-frequency
+HF_MASK_QUANTILE = 0.75
 
 
 def _check_like(b: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -72,8 +64,8 @@ def _ssim_against(a: np.ndarray, mu_a: np.ndarray, var_a: np.ndarray, b: np.ndar
     # the caller asks for the next
     mu_b, var_b = _moments(b, params)
     cov = gaussian_filter(a * b, params.sigma, params.window // 2) - mu_a * mu_b
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    c1 = params.k1**2  # dynamic range 1
+    c2 = params.k2**2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return num / den
@@ -107,27 +99,22 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> flo
     return float(np.mean(ssim_map(a, b, params)))
 
 
-def ssim_hf(
-    a: np.ndarray,
-    b: np.ndarray,
-    params: SsimParams = SsimParams(),
-    mask_params: HfMaskParams = HfMaskParams(),
-) -> float:
+def ssim_hf(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
     """SSIM averaged over the reference image's high-frequency regions: the
     :func:`hf_mean` of ``ssim_map(a, b)`` with ``a`` as the reference."""
-    return hf_mean(ssim_map(a, b, params), a, mask_params)
+    return hf_mean(ssim_map(a, b, params), a)
 
 
-def hf_mean(values: np.ndarray, reference: np.ndarray, mask_params: HfMaskParams = HfMaskParams()) -> float:
+def hf_mean(values: np.ndarray, reference: np.ndarray) -> float:
     """Mean of a per-pixel map over the reference image's high-frequency pixels.
 
     The mask keeps pixels whose Sobel magnitude in ``reference`` is at least
-    the configured quantile of that map.  A flat reference yields the plain
-    mean (every pixel ties at zero, and an empty mask falls back to it as
-    well).
+    the :data:`HF_MASK_QUANTILE` quantile of that map.  A flat reference
+    yields the plain mean (every pixel ties at zero, and an empty mask falls
+    back to it as well).
     """
     sob = sobel_magnitude(np.asarray(reference, dtype=np.float64))
-    cutoff = np.quantile(sob, mask_params.quantile)
+    cutoff = np.quantile(sob, HF_MASK_QUANTILE)
     mask = sob >= cutoff
     if not mask.any():
         return float(np.mean(values))

@@ -7,11 +7,13 @@ All of a sample's steps are read from one lazy
 :class:`~freqskip.generator.StepTrace`, so a step the features built is not
 built again for the output, the baseline or the evaluation probe.
 Reported cost counts every executed branch pass at its step weight (halved
-steps count once, skipped steps not at all) plus a fixed decision-overhead
-fraction of the baseline.
+steps count once, skipped steps not at all) plus the fixed decision overhead
+``strategies.DECISION_OVERHEAD`` of the baseline.
 
 Evaluation mode additionally generates the non-accelerated baseline to score
-SSIM / SSIM-HF against it; production mode skips that entirely.
+SSIM / SSIM-HF against it (the one SSIM, ``metrics.SsimParams()``, and the
+one mask, ``metrics.HF_MASK_QUANTILE``); production mode skips that
+entirely.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,8 +32,8 @@ from .features import step_features
 from .frequency import HFParams, hf_ratio
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
 from .labeling import SENSITIVITY_PROBE, build_dataset
-from .metrics import HfMaskParams, SsimParams, hf_mean, ssim_map, ssim_maps
-from .strategies import DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy, speedup
+from .metrics import SsimParams, hf_mean, ssim_map, ssim_maps
+from .strategies import DECISION_OVERHEAD, DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy, speedup
 
 
 @dataclass(frozen=True)
@@ -39,22 +42,21 @@ class PipelineConfig:
 
     The model decides once, at ``decision_step``, what to do with the steps
     after it, so a rung may touch only those ``steps - decision_step``
-    trailing steps (:meth:`check_rung`).
+    trailing steps (:meth:`check_rung`).  The SSIM and the decision overhead
+    are constants, not settings: ``ssim`` and ``overhead`` are class
+    attributes, not init fields.
     """
 
     decision_step: int = 9
     analysis_size: int = 128
     hf: HFParams = HFParams(rho=0.4)  # the frozen experiment radius; a bare HFParams() is 0.25
-    ssim: SsimParams = SsimParams()
-    hf_mask: HfMaskParams = HfMaskParams()
     ladder: tuple[Strategy, ...] = DEFAULT_LADDER
-    overhead: float = 0.005
+    ssim: ClassVar[SsimParams] = SsimParams()
+    overhead: ClassVar[float] = DECISION_OVERHEAD
 
     def __post_init__(self) -> None:
         if self.analysis_size < 3:
             raise ValueError(f"analysis_size must be >= 3, got {self.analysis_size}")
-        if self.overhead < 0.0:
-            raise ValueError(f"overhead must be >= 0, got {self.overhead}")
         if not any(s.kind == "none" for s in self.ladder):
             raise ValueError("ladder must contain the 'none' strategy")
 
@@ -84,7 +86,7 @@ class PipelineConfig:
         return [s.ident for s in self.ladder]
 
     def cost_model(self, cfg: TraceConfig) -> CostModel:
-        return CostModel(weights=cfg.cost_weights, overhead=self.overhead)
+        return CostModel(weights=cfg.cost_weights)
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def run_accelerated(
     trace = StepTrace(target, cfg)
     out, report = _run(trace, pcfg, model, force_strategy)
     if compute_baseline:
-        ssim_val, ssim_hf_val, _ = _score(trace, pcfg, out)
+        ssim_val, ssim_hf_val, _ = _score(trace, out)
         report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
     return out, report
 
@@ -142,26 +144,24 @@ def _run(
     report = RunReport(
         strategy=strategy.ident,
         features=feats,
-        cost=cm.strategy_cost(strategy) + pcfg.overhead * cm.baseline_cost,
+        cost=cm.strategy_cost(strategy) + cm.overhead * cm.baseline_cost,
         speedup=speedup(cm, strategy),
     )
     return out, report
 
 
-def _score(
-    trace: StepTrace, pcfg: PipelineConfig, out: np.ndarray, probe: np.ndarray | None = None
-) -> tuple[float, float, float | None]:
+def _score(trace: StepTrace, out: np.ndarray, probe: np.ndarray | None = None) -> tuple[float, float, float | None]:
     """SSIM and SSIM-HF of the output ``out`` against the trace's baseline
     output, both taken from one SSIM map, and the SSIM of ``probe`` against
     the same baseline if given (the baseline's moments filtered once)."""
     baseline = trace.final
     probe_ssim = None
     if probe is None:
-        smap = ssim_map(baseline, out, pcfg.ssim)
+        smap = ssim_map(baseline, out)
     else:
-        smap, probe_map = ssim_maps(baseline, (out, probe), pcfg.ssim)
+        smap, probe_map = ssim_maps(baseline, (out, probe))
         probe_ssim = float(np.mean(probe_map))
-    return float(np.mean(smap)), hf_mean(smap, baseline, pcfg.hf_mask), probe_ssim
+    return float(np.mean(smap)), hf_mean(smap, baseline), probe_ssim
 
 
 EVAL_CSV_HEADER = "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
@@ -230,7 +230,7 @@ def _evaluate_spec(
     probe = None
     if probe_key != output_key(parse_strategy(report.strategy), cfg.steps):
         probe = decode_final(trace, *probe_key)
-    ssim_val, ssim_hf_val, probe_ssim = _score(trace, pcfg, out, probe)
+    ssim_val, ssim_hf_val, probe_ssim = _score(trace, out, probe)
     report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
     return report, ssim_val if probe_ssim is None else probe_ssim
 

@@ -11,8 +11,8 @@ one, 0 skips the step.  The kind names the non-zero counts: ``none``,
 ``hybrid``.  A plan fits a run when it touches at most K steps and leaves a
 full step if it skips any.  The image is emitted at the last step run.
 Costs are modeled, not measured: a step of p passes costs p*w_k, and
-speedup is baseline / (accelerated + overhead * baseline), with a small
-configurable decision overhead.
+speedup is baseline / (accelerated + overhead * baseline), where the
+decision overhead is the fixed :data:`DECISION_OVERHEAD` of the baseline.
 """
 
 from __future__ import annotations
@@ -122,12 +122,17 @@ DEFAULT_LADDER = (
 )
 
 
+# the modeled cost of the decision, as a fraction of the baseline cost
+DECISION_OVERHEAD = 0.005
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """Normalized per-step weights plus the decision-overhead fraction."""
+    """Normalized per-step weights plus the decision-overhead fraction
+    (0.0 prices a plan without a decision)."""
 
     weights: tuple[float, ...]
-    overhead: float = 0.005
+    overhead: float = DECISION_OVERHEAD
 
     def __post_init__(self) -> None:
         for i, w in enumerate(self.weights):
@@ -135,8 +140,8 @@ class CostModel:
                 raise ValueError(f"weights[{i}] must be > 0, got {w}")
         if abs(math.fsum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        if self.overhead < 0.0:
-            raise ValueError(f"overhead must be >= 0, got {self.overhead}")
+        if not 0.0 <= self.overhead < math.inf:
+            raise ValueError(f"overhead must be finite and >= 0, got {self.overhead}")
 
     @property
     def steps(self) -> int:

@@ -78,18 +78,46 @@ class TestExitCodes:
         cfg.write_text('{"no_such_key": 1}')
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
 
-    @pytest.mark.parametrize("key, value", [("steps", 12), ("eligible_steps", 3)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("steps", 12),
+            ("eligible_steps", 3),
+            ("ssim_window", 11),
+            ("ssim_sigma", 1.5),
+            ("ssim_k1", 0.01),
+            ("ssim_k2", 0.03),
+            ("hf_mask_quantile", 0.75),
+            ("hf_epsilon", 1e-8),
+            ("overhead", 0.005),
+        ],
+    )
     def test_derived_config_key_is_2(self, tmp_path, key, value):
-        # the step count is len(schedule) and the window follows decision_step
+        # the step count is len(schedule) and the window follows decision_step;
+        # the SSIM, the high-frequency mask, the spectral epsilon and the
+        # decision overhead are module constants, even at their own values
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_invalid_config_value_is_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"gap_gamma": 1.5}',
+            '{"guidance": NaN}',
+            '{"gap_alpha": Infinity}',
+            '{"seed": -1}',
+            '{"split_seed": -1}',
+        ],
+        ids=["gap_gamma", "guidance_nan", "gap_alpha_inf", "seed_negative", "split_seed_negative"],
+    )
+    def test_invalid_config_value_is_2(self, tmp_path, body):
+        # json reads NaN and Infinity; no run can use them
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"gap_gamma": 1.5}')
+        cfg.write_text(body)
         assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "body",
@@ -395,9 +423,7 @@ class TestEvaluateCommand:
         corpus = small_corpus(workspace, tmp_path / "corpus", ids)
         specs = [TargetSpec(path=str(corpus / f"{sid}.f32")) for sid in ids]
         cfg = RunConfig()
-        sensitive, robust = sensitivity_split(
-            specs, cfg.trace_config(), cfg.tau_sensitivity, cfg.pipeline_config().ssim, ids=ids
-        )
+        sensitive, robust = sensitivity_split(specs, cfg.trace_config(), cfg.tau_sensitivity, ids=ids)
         assert sensitive and robust
         constant = tmp_path / "uncond_3.json"
         save_model(

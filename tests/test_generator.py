@@ -55,6 +55,11 @@ class TestTraceConfig:
             {"schedule": (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 224)},
             {"gap_gamma": 1.0},
             {"gap_alpha": -0.1},
+            {"gap_alpha": float("inf")},
+            {"gap_alpha": float("nan")},
+            {"guidance": float("nan")},
+            {"guidance": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -76,7 +76,7 @@ class TestLabelSample:
 
     def test_fidelity_shared_between_equivalent_strategies(self):
         target = synth_target(TargetSpec(seed=5, blobs=2, noise_amp=0.2, noise_scale=0.7), 256)
-        ssims = strategy_fidelity(target, FROZEN_TRACE, FROZEN_PIPELINE.ladder, FROZEN_PIPELINE.ssim)
+        ssims = strategy_fidelity(target, FROZEN_TRACE, FROZEN_PIPELINE.ladder)
         # all uncond variants emit the same final image in this generator
         assert ssims["uncond_1"] == ssims["uncond_2"] == ssims["uncond_3"]
 
@@ -98,7 +98,7 @@ class TestOnePassLabeling:
             assert sample.features == decision_features(
                 target, FROZEN_TRACE, pcfg.decision_step, pcfg.analysis_size, pcfg.hf
             )
-            assert strategy_fidelity(target, FROZEN_TRACE, pcfg.ladder, pcfg.ssim) == sample.ssims
+            assert strategy_fidelity(target, FROZEN_TRACE, pcfg.ladder) == sample.ssims
 
     def test_each_step_built_once(self, frozen_targets, step_builds):
         built = step_builds

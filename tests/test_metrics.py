@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from freqskip.frequency import sobel_magnitude
-from freqskip.metrics import HfMaskParams, SsimParams, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
+from freqskip.metrics import SsimParams, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 
 from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_naive
 
@@ -137,8 +137,6 @@ class TestSsimHf:
         assert target - ties - 1 <= n_selected <= target + ties + 1
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            HfMaskParams(quantile=0.0)
         with pytest.raises(ValueError):
             SsimParams(window=4)
         with pytest.raises(ValueError):

@@ -196,7 +196,7 @@ class TestRunAccelerated:
                 )
                 assert len(calls) == 1
                 assert report.ssim == ssim(baseline, out, FROZEN_PIPELINE.ssim)
-                assert report.ssim_hf == ssim_hf(baseline, out, FROZEN_PIPELINE.ssim, FROZEN_PIPELINE.hf_mask)
+                assert report.ssim_hf == ssim_hf(baseline, out, FROZEN_PIPELINE.ssim)
 
 
 class TestStepBuilds:
@@ -265,7 +265,7 @@ class TestEvaluate:
         # constant uncond_3 model never does, so each probe is scored apart
         specs = default_corpus(4, seed=5)
         expect = [
-            strategy_fidelity(synth_target(spec, 256), FROZEN_TRACE, (SENSITIVITY_PROBE,), FROZEN_PIPELINE.ssim)["skip_3"]
+            strategy_fidelity(synth_target(spec, 256), FROZEN_TRACE, (SENSITIVITY_PROBE,))["skip_3"]
             for spec in specs
         ]
         for model in (mini_model, constant_model("uncond_3")):

@@ -159,8 +159,9 @@ class TestCostModel:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             CostModel(weights=(0.5, 0.6))
-        with pytest.raises(ValueError):
-            CostModel(weights=(0.5, 0.5), overhead=-0.1)
+        for overhead in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CostModel(weights=(0.5, 0.5), overhead=overhead)
 
     @pytest.mark.parametrize(
         "weights, index, value",
