@@ -11,9 +11,10 @@ one BLAS thread.  The target is sample 0 of the frozen corpus
 (``default_corpus(200, seed)``).
 
 Two columns: ``cold`` empties the process-wide memos (the step
-perturbations, the area-resize period blocks and the Gaussian filter
-bands) before every call, outside the timed region; ``warm`` keeps them,
-as a long-lived process does.  ``predict`` has one row per model kind
+perturbations, the area-resize period blocks, the Gaussian filter bands,
+the bilinear resize tables and the spectral-ratio masks) before every
+call, outside the timed region; ``warm`` keeps them, as a long-lived
+process does.  ``predict`` has one row per model kind
 (logreg, tree, forest, two_stage), each fitted on the labels of the first
 16 corpus samples; ``run_accelerated`` uses the logreg one.  Times depend
 on the host; a shared host makes them indicative only.
@@ -32,7 +33,7 @@ import time
 
 import numpy as np
 
-from freqskip import generator, image
+from freqskip import frequency, generator, image
 from freqskip.corpus import default_corpus
 from freqskip.decision import TRAINERS, predict
 from freqskip.features import decision_features
@@ -51,6 +52,8 @@ def clear_memos() -> None:
     generator._perturbation.cache_clear()
     image._area_block.cache_clear()
     image._gaussian_band.cache_clear()
+    image._bilinear_tables.cache_clear()
+    frequency._hf_mask.cache_clear()
 
 
 def per_call_ms(fn, calls: int, cold: bool) -> float:

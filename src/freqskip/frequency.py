@@ -12,11 +12,14 @@ Two complementary measurements drive acceleration decisions:
 
 The forward transform is numpy's unnormalized 2-D FFT (``np.fft.fft2``),
 which accepts any image size; on the same input it returns bit-identical
-coefficients from call to call.
+coefficients from call to call.  The ratio's boolean disc mask depends only
+on (height, width, rho), so it is built once per process per key and kept,
+read-only: 16 KB at the default 128 x 128 analysis size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,32 +66,43 @@ def sobel_magnitude(img: np.ndarray) -> np.ndarray:
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"sobel_magnitude needs at least a 3x3 image, got {arr.shape}")
     p = np.pad(arr, 1, mode="edge")
-    gx = (
-        (p[:-2, 2:] - p[:-2, :-2])
-        + 2.0 * (p[1:-1, 2:] - p[1:-1, :-2])
-        + (p[2:, 2:] - p[2:, :-2])
-    )
-    gy = (
-        (p[2:, :-2] - p[:-2, :-2])
-        + 2.0 * (p[2:, 1:-1] - p[:-2, 1:-1])
-        + (p[2:, 2:] - p[:-2, 2:])
-    )
-    return np.sqrt(gx * gx + gy * gy)
+    # one horizontal and one vertical difference of the padded image; each
+    # kernel row (column) is a slice of it, summed in the order of
+    # (top + 2*middle) + bottom, so the bits match the three-term expression
+    d = p[:, 2:] - p[:, :-2]
+    gx = d[:-2] + 2.0 * d[1:-1]
+    gx += d[2:]
+    e = p[2:] - p[:-2]
+    gy = e[:, :-2] + 2.0 * e[:, 1:-1]
+    gy += e[:, 2:]
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx)
 
 
 def hf_diff(i_n: np.ndarray, i_prev: np.ndarray, analysis_size: int) -> float:
     """Mean absolute difference of Sobel maps at a common analysis size.
 
-    Both images are area-resized to analysis_size x analysis_size first, so
-    the value is comparable across steps with different native resolutions.
+    Both images are area-resized to analysis_size x analysis_size first
+    (:func:`to_analysis`; one already that size is used as it is), so the
+    value is comparable across steps with different native resolutions.
     The mean (not the sum) keeps thresholds independent of the analysis
     resolution.
     """
     if analysis_size < 3:
         raise ValueError(f"analysis_size must be >= 3, got {analysis_size}")
-    a = resize_area(require_gray(i_n, "i_n"), analysis_size, analysis_size)
-    b = resize_area(require_gray(i_prev, "i_prev"), analysis_size, analysis_size)
+    a = to_analysis(require_gray(i_n, "i_n"), analysis_size)
+    b = to_analysis(require_gray(i_prev, "i_prev"), analysis_size)
     return float(np.mean(np.abs(sobel_magnitude(a) - sobel_magnitude(b))))
+
+
+def to_analysis(img: np.ndarray, analysis_size: int) -> np.ndarray:
+    """``img`` area-resized to analysis_size x analysis_size; an image already
+    that size is returned as it is, not copied (no caller writes to it)."""
+    if img.shape == (analysis_size, analysis_size):
+        return img
+    return resize_area(img, analysis_size, analysis_size)
 
 
 def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
@@ -105,6 +119,18 @@ def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
     return Spectrum(width=w, height=h, coeffs=coeffs, shifted=shifted)
 
 
+@functools.lru_cache(maxsize=None)
+def _hf_mask(h: int, w: int, rho: float) -> np.ndarray:
+    """Bins of a shifted h x w spectrum farther than rho * min(h, w)/2 from
+    the DC bin at (h//2, w//2).  Built once per process and (h, w, rho), and
+    read-only."""
+    yy = np.arange(h)[:, None] - h // 2
+    xx = np.arange(w)[None, :] - w // 2
+    mask = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho
+    mask.flags.writeable = False
+    return mask
+
+
 def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     """Share of spectral magnitude beyond normalized radius rho.
 
@@ -113,10 +139,8 @@ def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     """
     arr = require_gray(img)
     h, w = arr.shape
-    mag = np.abs(dft2(arr, shifted=True).coeffs)
-    cy, cx = h // 2, w // 2
-    yy = np.arange(h)[:, None] - cy
-    xx = np.arange(w)[None, :] - cx
-    dist = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0)
-    high = mag[dist > params.rho]
+    # the shift only permutes bins, so taking |F| first rolls real values and
+    # leaves every magnitude, and the order of both sums, as they were
+    mag = np.fft.fftshift(np.abs(dft2(arr).coeffs))
+    high = mag[_hf_mask(h, w, params.rho)]
     return float(high.sum() / (mag.sum() + HF_EPSILON))

@@ -21,13 +21,15 @@ A :class:`StepTrace` is one sample's run: it builds step k on first read,
 holds it until released, and is the one place features, emitted outputs,
 the baseline and labels read their steps from.
 
-Two constants depend on no sample, so each is built once per process and
-kept, read-only, for the life of the process: the perturbation
+Three constants depend on no sample, so each is built once per process
+and kept, read-only, for the life of the process: the perturbation
 ``alpha * gamma**(k-1) * box3(noise_k)``, keyed on (seed, alpha, gamma, k,
-r_k), and ``image._area_block``, the overlap weights of one period of an
-area resize, per (input, output) size pair.  All 12 perturbations of one
-default config take ~1.7 MB (the sum of r_k**2 float64 values); the
-blocks for the default schedule and analysis size take ~3 KB.
+r_k), ``image._area_block``, the overlap weights of one period of an
+area resize, and ``image._bilinear_tables``, the gather indices and
+weights of an upsample, both per (input, output) size pair.  All 12
+perturbations of one default config take ~1.7 MB (the sum of r_k**2
+float64 values); the blocks for the default schedule and analysis size
+take ~3 KB, and the tables 16 KB per upsample size pair.
 """
 
 from __future__ import annotations
@@ -250,7 +252,12 @@ def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> StepRecord:
         uncond = cond.copy()
     else:
         uncond = cond + _perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, k, r)
-    combined = np.clip(uncond + cfg.guidance * (cond - uncond), 0.0, 1.0)
+    # uncond + g * (cond - uncond) in one fresh buffer; the sum is commutative,
+    # so adding uncond last gives the same bits
+    combined = cond - uncond
+    combined *= cfg.guidance
+    combined += uncond
+    np.clip(combined, 0.0, 1.0, out=combined)
     return StepRecord(cond, uncond, combined)
 
 

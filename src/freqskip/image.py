@@ -11,17 +11,19 @@ Supported file formats:
 
 All functions are pure; none mutate their inputs.
 
-Two resampling constants are built once per process and kept, read-only.
-The first is the area-resize period block per (input, output) size pair:
-the (q, p) overlap weights that every block of p input pixels maps to q
-output pixels through, with p and q the sizes divided by their gcd, so
-(5, 8) at 256 -> 160 and (4, 5) at 160 -> 128; all blocks of the default
-schedule and analysis size take ~3 KB.  The second is the band of
-Gaussian taps per (sigma, radius) that :func:`gaussian_filter`, the one
-filter behind SSIM's window and the generator's noise octaves, multiplies
-its blocks by.  A band is 64 x (64 + 2*radius) float64 values: ~37 KB at
-SSIM's radius 5, ~0.26 MB for SSIM plus the five noise octaves of the
-default corpus.
+Three resampling constants are built once per process and kept,
+read-only.  The first is the area-resize period block per (input, output)
+size pair: the (q, p) overlap weights that every block of p input pixels
+maps to q output pixels through, with p and q the sizes divided by their
+gcd, so (5, 8) at 256 -> 160 and (4, 5) at 160 -> 128; all blocks of the
+default schedule and analysis size take ~3 KB.  The second is the
+bilinear resize's gather indices and weights per (input, output) size
+pair: four tables per axis, one entry per output column or row, so 16 KB
+at 160 -> 256.  The third is the band of Gaussian taps per (sigma, radius)
+that :func:`gaussian_filter`, the one filter behind SSIM's window and the
+generator's noise octaves, multiplies its blocks by.  A band is
+64 x (64 + 2*radius) float64 values: ~37 KB at SSIM's radius 5, ~0.26 MB
+for SSIM plus the five noise octaves of the default corpus.
 """
 
 from __future__ import annotations
@@ -119,6 +121,26 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
     return (rows.reshape(-1, block_w.shape[1]) @ block_w.T).reshape(height, width)
 
 
+@functools.lru_cache(maxsize=None)
+def _bilinear_tables(h_in: int, w_in: int, width: int, height: int) -> tuple[np.ndarray, ...]:
+    """Gather indices and weights of an (h_in, w_in) -> (height, width)
+    bilinear resize: ``x0, x1, 1 - fx, fx`` per output column and ``y0, y1``
+    with the (height, 1) columns ``1 - fy, fy`` per output row.  Built once
+    per process and size pair, and read-only."""
+    xs = np.array([(w_in - 1) / 2.0]) if width == 1 else np.linspace(0.0, w_in - 1.0, width)
+    ys = np.array([(h_in - 1) / 2.0]) if height == 1 else np.linspace(0.0, h_in - 1.0, height)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w_in - 1)
+    y1 = np.minimum(y0 + 1, h_in - 1)
+    fx = xs - x0
+    fy = ys - y0
+    tables = (x0, x1, 1.0 - fx, fx, y0, y1, (1.0 - fy)[:, None], fy[:, None])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
     """Resize by bilinear interpolation with edge-aligned corners.
 
@@ -139,16 +161,19 @@ def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
         raise ValueError("output dimensions must be >= 1")
     if width == w_in and height == h_in:
         return arr.copy()
-    xs = np.array([(w_in - 1) / 2.0]) if width == 1 else np.linspace(0.0, w_in - 1.0, width)
-    ys = np.array([(h_in - 1) / 2.0]) if height == 1 else np.linspace(0.0, h_in - 1.0, height)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w_in - 1)
-    y1 = np.minimum(y0 + 1, h_in - 1)
-    fx = xs - x0
-    fy = ys - y0
-    rows = arr[:, x0] * (1.0 - fx) + arr[:, x1] * fx
-    return rows[y0] * (1.0 - fy)[:, None] + rows[y1] * fy[:, None]
+    x0, x1, wx0, wx1, y0, y1, wy0, wy1 = _bilinear_tables(h_in, w_in, width, height)
+    # both lerps run in place on the fresh gathered copies, never on a table
+    rows = arr[:, x0]
+    rows *= wx0
+    right = arr[:, x1]
+    right *= wx1
+    rows += right
+    out = rows[y0]
+    out *= wy0
+    below = rows[y1]
+    below *= wy1
+    out += below
+    return out
 
 
 _BAND = 64  # outputs per block product in gaussian_filter

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqskip import generator
+from freqskip import features, frequency, generator, image
 from freqskip.corpus import default_corpus
 from freqskip.frequency import HFParams
 from freqskip.generator import TraceConfig, synth_target
@@ -52,3 +52,20 @@ def step_builds(monkeypatch):
 
     monkeypatch.setattr(generator, "step_images", counted)
     return built
+
+
+@pytest.fixture()
+def area_resizes(monkeypatch):
+    """(input shape, output shape) of every ``image.resize_area`` call during
+    the test, through whichever module's binding the caller uses."""
+    calls = []
+    original = image.resize_area
+
+    def counted(img, width, height):
+        calls.append((np.shape(img), (height, width)))
+        return original(img, width, height)
+
+    for module in (image, generator, features, frequency):
+        if getattr(module, "resize_area", None) is original:
+            monkeypatch.setattr(module, "resize_area", counted)
+    return calls

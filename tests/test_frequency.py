@@ -4,7 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import FROZEN_PIPELINE, FROZEN_TRACE
+from freqskip import frequency
 from freqskip.frequency import HF_EPSILON, HFParams, dft2, hf_diff, hf_ratio, sobel_magnitude
+from freqskip.generator import step_images
 from freqskip.image import resize_area
 
 from oracles import dft2_naive, hf_diff_naive, hf_ratio_naive, sobel_naive
@@ -163,3 +166,62 @@ class TestAnalysisPath:
         img = rng.random((64, 64))
         small = resize_area(img, 32, 32)
         assert hf_ratio(small) == hf_ratio(resize_area(img, 32, 32))
+
+
+def sobel_inline(img):
+    """The three-term Sobel expression, kept to pin sobel_magnitude's bits."""
+    p = np.pad(img, 1, mode="edge")
+    gx = (p[:-2, 2:] - p[:-2, :-2]) + 2.0 * (p[1:-1, 2:] - p[1:-1, :-2]) + (p[2:, 2:] - p[2:, :-2])
+    gy = (p[2:, :-2] - p[:-2, :-2]) + 2.0 * (p[2:, 1:-1] - p[:-2, 1:-1]) + (p[2:, 2:] - p[:-2, 2:])
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def hf_ratio_inline(img, rho):
+    """The shifted-spectrum ratio with its mask built in the call, kept to pin
+    hf_ratio's bits."""
+    h, w = img.shape
+    mag = np.abs(np.fft.fftshift(np.fft.fft2(img)))
+    yy = np.arange(h)[:, None] - h // 2
+    xx = np.arange(w)[None, :] - w // 2
+    dist = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0)
+    return float(mag[dist > rho].sum() / (mag.sum() + HF_EPSILON))
+
+
+class TestBitPins:
+    """sobel_magnitude and hf_ratio equal the expressions above bit for bit;
+    the oracle tests' tolerances cannot see a trailing-bit move."""
+
+    @pytest.fixture(scope="class")
+    def analysis_images(self, frozen_targets):
+        cfg = FROZEN_TRACE
+        n = FROZEN_PIPELINE.analysis_size
+        images = []
+        for target in frozen_targets[:12]:
+            for k in (FROZEN_PIPELINE.decision_step - 1, FROZEN_PIPELINE.decision_step):
+                images.append(resize_area(step_images(target, cfg, k).combined, n, n))
+        return images
+
+    def test_frozen_step_images_at_analysis_size(self, analysis_images):
+        for img in analysis_images:
+            assert img.shape == (128, 128)
+            assert np.array_equal(sobel_magnitude(img), sobel_inline(img))
+            for rho in (0.25, FROZEN_PIPELINE.hf.rho):
+                assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+
+    @pytest.mark.parametrize("shape", [(7, 12), (12, 7), (127, 128), (128, 127), (3, 3), (33, 20)])
+    def test_odd_and_non_square_shapes(self, rng, shape):
+        for _ in range(3):
+            img = rng.random(shape)
+            assert np.array_equal(sobel_magnitude(img), sobel_inline(img))
+            for rho in (0.1, 0.25, 0.4, 0.9):
+                # the first call builds the (h, w, rho) mask, the second reads it
+                assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+                assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+
+    def test_mask_is_read_only_and_built_once(self):
+        mask = frequency._hf_mask(128, 128, 0.4)
+        assert mask.shape == (128, 128) and mask.nbytes == 16384
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        assert frequency._hf_mask(128, 128, 0.4) is mask
+        assert frequency._hf_mask(128, 127, 0.4) is not mask

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from freqskip import generator, image
+from freqskip import frequency, generator, image
 from freqskip.frequency import HFParams, hf_ratio
 from freqskip.generator import (
     DEFAULT_SCHEDULE,
@@ -212,8 +212,9 @@ class TestStepTrace:
 
 
 class TestProcessConstants:
-    """The step perturbation, the area-resize period block and the Gaussian
-    filter band are built once per process."""
+    """The step perturbation, the area-resize period block, the Gaussian
+    filter band, the spectral-ratio mask and the bilinear tables are built
+    once per process."""
 
     @staticmethod
     def inline_uncond(target, cfg, k):
@@ -254,12 +255,18 @@ class TestProcessConstants:
         assert block.shape == (5, 8)  # one period: 8 input pixels to 5 outputs
         band = image._gaussian_band(1.5, 5)
         assert band.shape == (64, 74)  # 37,888 bytes at SSIM's radius 5
-        for arr in (offset, block, band):
+        mask = frequency._hf_mask(128, 128, 0.4)
+        assert mask.nbytes == 16384
+        tables = image._bilinear_tables(160, 160, 256, 256)
+        assert sum(t.nbytes for t in tables) == 8 * 2048  # four 256-entry tables per axis
+        for arr in (offset, block, band, mask, *tables):
             with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+                arr[0] = 0
         assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
         assert image._area_block(256, 160) is block
         assert image._gaussian_band(1.5, 5) is band
+        assert frequency._hf_mask(128, 128, 0.4) is mask
+        assert image._bilinear_tables(160, 160, 256, 256) is tables
 
     def test_returned_uncond_is_fresh_and_writable(self, blob_target):
         cfg = TraceConfig(seed=3)
@@ -270,6 +277,31 @@ class TestProcessConstants:
         kept = rec.uncond.copy()
         rec.uncond[:] = 0.0
         assert np.array_equal(step_images(blob_target, cfg, 9).uncond, kept)
+
+    @pytest.mark.parametrize("gap_alpha", [0.15, 0.0])
+    def test_returned_combined_is_fresh_and_writable(self, blob_target, gap_alpha):
+        cfg = TraceConfig(seed=3, gap_alpha=gap_alpha)
+        rec = step_images(blob_target, cfg, 9)
+        assert rec.combined.flags.writeable
+        assert not np.shares_memory(rec.combined, rec.cond) and not np.shares_memory(rec.combined, rec.uncond)
+        kept = rec.combined.copy()
+        rec.combined[:] = -1.0
+        again = step_images(blob_target, cfg, 9)
+        assert np.array_equal(again.combined, kept)
+        assert np.array_equal(again.combined, np.clip(again.uncond + cfg.guidance * (again.cond - again.uncond), 0.0, 1.0))
+
+    def test_bilinear_output_is_fresh_and_leaves_the_tables_alone(self, blob_target):
+        # the two lerps run in place on gathered copies; a table written by
+        # them would change every later upsample of the same size pair
+        small = resize_area(blob_target, 160, 160)
+        tables = [t.copy() for t in image._bilinear_tables(160, 160, 256, 256)]
+        up = image.resize_bilinear(small, 256, 256)
+        assert up.flags.writeable and up.flags.c_contiguous
+        assert not any(np.shares_memory(up, t) for t in image._bilinear_tables(160, 160, 256, 256))
+        kept = up.copy()
+        up[:] = -1.0
+        assert np.array_equal(image.resize_bilinear(small, 256, 256), kept)
+        assert all(np.array_equal(a, b) for a, b in zip(image._bilinear_tables(160, 160, 256, 256), tables))
 
 
 class TestBranchGap:

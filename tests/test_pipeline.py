@@ -218,6 +218,15 @@ class TestStepBuilds:
         assert sorted(step_builds) == [8, 9, 12]
 
 
+class TestAreaResizes:
+    def test_run_makes_no_identity_resize(self, area_resizes):
+        # steps 8 (128) and 9 (160) from the 256 target, then 9 to the
+        # 128 analysis size; step 8 is already that size and is not copied
+        target = synth_target(TargetSpec(seed=4, blobs=3), 256)
+        run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=Strategy.skip(3))
+        assert sorted(area_resizes) == [((160, 160), (128, 128)), ((256, 256), (128, 128)), ((256, 256), (160, 160))]
+
+
 class TestFixedHybridSchedule:
     def test_hybrid_runs_with_earlier_decision_step(self):
         # skip the final two steps, replace the unconditional branch on the
