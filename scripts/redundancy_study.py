@@ -14,7 +14,7 @@ Usage: PYTHONPATH=src python scripts/redundancy_study.py [--seeds N]
 import argparse
 import math
 
-from freqskip.generator import TargetSpec, TraceConfig, branch_gap, decode_final, generate_trace, synth_target
+from freqskip.generator import StepTrace, TargetSpec, TraceConfig, branch_gap, decode_final, synth_target
 from freqskip.metrics import l1_mean
 
 
@@ -24,7 +24,7 @@ def run(args):
     gaps = [0.0] * steps
     errors = [0.0] * steps
     for seed in range(args.seeds):
-        trace = generate_trace(target, TraceConfig(seed=seed))
+        trace = StepTrace(target, TraceConfig(seed=seed))
         for k in range(1, steps + 1):
             gaps[k - 1] += branch_gap(trace, k)
             errors[k - 1] += l1_mean(decode_final(trace, k), trace.final)

@@ -85,8 +85,8 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file ({exc})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON ({exc})") from None
         if not isinstance(data, dict):
@@ -112,8 +112,20 @@ class RunConfig:
     def validate(self) -> tuple[TraceConfig, PipelineConfig]:
         """Check every key; returns the run's trace and pipeline configs."""
         try:
-            tcfg = self.trace_config()
-            pcfg = self.pipeline_config()
+            tcfg = TraceConfig(
+                schedule=tuple(self.schedule),
+                guidance=self.guidance,
+                gap_alpha=self.gap_alpha,
+                gap_gamma=self.gap_gamma,
+                seed=self.seed,
+            )
+            pcfg = PipelineConfig(
+                decision_step=self.decision_step,
+                analysis_size=self.analysis_size,
+                hf=HFParams(rho=self.hf_rho),
+                ladder=tuple(parse_strategy(ident) for ident in self.ladder),
+            )
+            pcfg.validate_for(tcfg)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         if self.corpus_kind not in _CORPUS_KINDS:
@@ -131,25 +143,6 @@ class RunConfig:
         if self.split_seed < 0:
             raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
         return tcfg, pcfg
-
-    def trace_config(self) -> TraceConfig:
-        return TraceConfig(
-            schedule=tuple(self.schedule),
-            guidance=self.guidance,
-            gap_alpha=self.gap_alpha,
-            gap_gamma=self.gap_gamma,
-            seed=self.seed,
-        )
-
-    def pipeline_config(self) -> PipelineConfig:
-        pcfg = PipelineConfig(
-            decision_step=self.decision_step,
-            analysis_size=self.analysis_size,
-            hf=HFParams(rho=self.hf_rho),
-            ladder=tuple(parse_strategy(ident) for ident in self.ladder),
-        )
-        pcfg.validate_for(self.trace_config())
-        return pcfg
 
     def corpus_specs(self) -> list[TargetSpec]:
         return _CORPUS_KINDS[self.corpus_kind](self.corpus_size, self.seed)
@@ -209,10 +202,12 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
-        ids = list(manifest["ids"])
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ImageFormatError(f"{corpus_dir}: not a corpus directory ({exc})") from None
-    return ids, [TargetSpec(path=os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
+    ids = manifest.get("ids") if isinstance(manifest, dict) else None
+    if not json_fits(ids, tuple[str, ...]):
+        raise ImageFormatError(f"{manifest_path}: 'ids' must be a list of strings, got {ids!r}")
+    return list(ids), [TargetSpec(path=os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
 
 
 def cmd_label(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
@@ -373,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:  # ImageFormatError, ModelFormatError are ValueErrors
+    except (ValueError, OSError) as exc:  # ImageFormatError, ModelFormatError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     print(f"{args.command}: {summary}")

@@ -72,10 +72,6 @@ class Standardizer:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - np.array(self.means)) / np.array(self.stds)
 
-    @staticmethod
-    def identity(n_features: int) -> "Standardizer":
-        return Standardizer((0.0,) * n_features, (1.0,) * n_features, (False,) * n_features)
-
 
 def fit_standardizer(features: np.ndarray) -> Standardizer:
     """Fit per-feature mean and population standard deviation."""

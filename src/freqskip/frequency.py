@@ -46,16 +46,6 @@ class HFParams:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT coefficients plus the quadrant-shift flag."""
-
-    width: int
-    height: int
-    coeffs: np.ndarray
-    shifted: bool
-
-
 def sobel_magnitude(img: np.ndarray) -> np.ndarray:
     """Per-pixel gradient magnitude from 3x3 Sobel kernels.
 
@@ -105,18 +95,10 @@ def to_analysis(img: np.ndarray, analysis_size: int) -> np.ndarray:
     return resize_area(img, analysis_size, analysis_size)
 
 
-def dft2(img: np.ndarray, shifted: bool = False) -> Spectrum:
-    """Unnormalized forward 2-D DFT of a grayscale image.
-
-    With shifted=True the quadrants are rolled so the DC coefficient sits at
-    (H//2, W//2).
-    """
-    arr = require_gray(img)
-    h, w = arr.shape
-    coeffs = np.fft.fft2(arr)
-    if shifted:
-        coeffs = np.fft.fftshift(coeffs)
-    return Spectrum(width=w, height=h, coeffs=coeffs, shifted=shifted)
+def dft2(img: np.ndarray) -> np.ndarray:
+    """Unnormalized forward 2-D DFT of a grayscale image: the complex
+    coefficients, with the DC coefficient at (0, 0)."""
+    return np.fft.fft2(require_gray(img))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,6 +123,6 @@ def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     h, w = arr.shape
     # the shift only permutes bins, so taking |F| first rolls real values and
     # leaves every magnitude, and the order of both sums, as they were
-    mag = np.fft.fftshift(np.abs(dft2(arr).coeffs))
+    mag = np.fft.fftshift(np.abs(dft2(arr)))
     high = mag[_hf_mask(h, w, params.rho)]
     return float(high.sum() / (mag.sum() + HF_EPSILON))

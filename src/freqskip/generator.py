@@ -52,18 +52,13 @@ _TARGET_STREAM = 0
 _NOISE_STREAM = 1
 
 
-def default_cost_weights(
-    schedule: tuple[int, ...] = DEFAULT_SCHEDULE,
-    late_steps: int = LATE_STEPS,
-    late_share: float = LATE_COST_SHARE,
-) -> tuple[float, ...]:
-    """Per-step cost weights: proportional to r_k**2 within the early and late
-    groups, each group rescaled so the late group sums to late_share exactly.
+def default_cost_weights(schedule: tuple[int, ...] = DEFAULT_SCHEDULE) -> tuple[float, ...]:
+    """Per-step cost weights: proportional to r_k**2 within the early steps
+    and the last :data:`LATE_STEPS`, each group rescaled so the late group
+    sums to :data:`LATE_COST_SHARE` exactly.
     """
-    if not 0 < late_steps < len(schedule):
-        raise ValueError(f"late_steps must be in (0, {len(schedule)}), got {late_steps}")
-    if not 0.0 < late_share < 1.0:
-        raise ValueError(f"late_share must be in (0, 1), got {late_share}")
+    if len(schedule) <= LATE_STEPS:
+        raise ValueError(f"schedule must have more than {LATE_STEPS} steps, got {len(schedule)}")
 
     def scaled(group: list[int], total: float) -> list[float]:
         sq = [float(r) * r for r in group]
@@ -73,8 +68,8 @@ def default_cost_weights(
         w[-1] = total - math.fsum(w[:-1])
         return w
 
-    early = scaled(list(schedule[:-late_steps]), 1.0 - late_share)
-    late = scaled(list(schedule[-late_steps:]), late_share)
+    early = scaled(list(schedule[:-LATE_STEPS]), 1.0 - LATE_COST_SHARE)
+    late = scaled(list(schedule[-LATE_STEPS:]), LATE_COST_SHARE)
     return tuple(early + late)
 
 
@@ -291,17 +286,8 @@ class StepTrace:
         self._built.pop(k, None)
 
     @property
-    def records(self) -> tuple[StepRecord, ...]:
-        return tuple(self.step(k) for k in range(1, self.config.steps + 1))
-
-    @property
     def final(self) -> np.ndarray:
         return self.step(self.config.steps).combined
-
-
-def generate_trace(target: np.ndarray, cfg: TraceConfig) -> StepTrace:
-    """The lazy K-step trace of a full-resolution square target."""
-    return StepTrace(target, cfg)
 
 
 def branch_gap(trace: StepTrace, k: int) -> float:

@@ -4,8 +4,10 @@ Each sample is labeled with the most aggressive ladder strategy whose output
 keeps SSIM (the one ``metrics.SsimParams()``) against the non-accelerated
 baseline at or above a threshold tau.
 'none' always qualifies (its SSIM is exactly 1), so every sample gets a
-label.  The same simulation also splits a corpus into frequency-sensitive
-and frequency-robust halves by probing the most aggressive skip.
+label.  A corpus splits into frequency-sensitive and frequency-robust
+halves by :func:`split_by_probe` of each sample's SSIM under the most
+aggressive skip, :data:`SENSITIVITY_PROBE`, which ``pipeline.evaluate``
+records in its own pass.
 """
 
 from __future__ import annotations
@@ -202,28 +204,3 @@ def split_by_probe(ids: list[str], probe_ssims: list[float], tau_s: float) -> tu
     sensitive = [sid for sid, flag in zip(ids, flags) if flag]
     robust = [sid for sid, flag in zip(ids, flags) if not flag]
     return sensitive, robust
-
-
-def _probe_spec(spec: TargetSpec, cfg: TraceConfig) -> float:
-    target = synth_target(spec, cfg.full_size)
-    return strategy_fidelity(target, cfg, (SENSITIVITY_PROBE,))[SENSITIVITY_PROBE.ident]
-
-
-def sensitivity_split(
-    specs: list[TargetSpec],
-    cfg: TraceConfig,
-    tau_s: float,
-    ids: list[str] | None = None,
-    jobs: int = 1,
-) -> tuple[list[str], list[str]]:
-    """:func:`split_by_probe` of the :data:`SENSITIVITY_PROBE` SSIM of every
-    spec, on ``jobs`` processes and without a decision model.
-
-    The probe is fixed: ``pipeline.evaluate`` records the same probe SSIMs in
-    its own pass (``EvalResult.probe_ssims``), which is how ``freqskip
-    evaluate --split-sensitivity`` splits its corpus, so this split always
-    equals that one.
-    """
-    ids = sample_ids(specs, ids)
-    probe_ssims = _map_jobs(partial(_probe_spec, cfg=cfg), specs, jobs)
-    return split_by_probe(ids, probe_ssims, tau_s)

@@ -30,7 +30,7 @@ from freqskip.decision import (
     train_two_stage,
 )
 from freqskip.frequency import HFParams, dft2, hf_diff, hf_ratio
-from freqskip.generator import TraceConfig, branch_gap, decode_final, default_cost_weights, generate_trace
+from freqskip.generator import StepTrace, TraceConfig, branch_gap, decode_final, default_cost_weights
 from freqskip.labeling import assign_label, ordered_ladder_ids
 from freqskip.metrics import l1_mean, ssim, ssim_hf
 from freqskip.pipeline import evaluate, feature_reliability, generalization_check, train_from_samples
@@ -87,7 +87,7 @@ def test_criterion_1_formula_oracles(rng):
 def test_criterion_2_spectral_checks(rng):
     with criterion(2, "spectral checks", 1.0):
         img = rng.random((16, 16))
-        coeffs = dft2(img).coeffs
+        coeffs = dft2(img)
         lhs = float((np.abs(coeffs) ** 2).sum())
         rhs = 256.0 * float((img * img).sum())
         assert abs(lhs - rhs) / rhs < 1e-6
@@ -161,11 +161,11 @@ def test_criterion_5_toy_reproductions(frozen_targets):
     with criterion(5, "toy generator reproductions", 60.0):
         target = frozen_targets[0]
         for seed in range(20):
-            trace = generate_trace(target, TraceConfig(seed=seed))
+            trace = StepTrace(target, TraceConfig(seed=seed))
             gaps = [branch_gap(trace, k) for k in range(1, 13)]
             assert all(a > b for a, b in zip(gaps, gaps[1:])), f"seed {seed}: {gaps}"
         for target in frozen_targets:
-            trace = generate_trace(target, FROZEN_TRACE)
+            trace = StepTrace(target, FROZEN_TRACE)
             l1s = [l1_mean(decode_final(trace, k), trace.final) for k in range(1, 13)]
             assert all(a >= b for a, b in zip(l1s, l1s[1:]))
 

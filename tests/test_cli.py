@@ -12,9 +12,7 @@ import pytest
 
 from freqskip.cli import RunConfig, main
 from freqskip.decision import Standardizer, TrainedModel, save_model
-from freqskip.generator import TargetSpec
 from freqskip.image import load_image, save_image
-from freqskip.labeling import sensitivity_split
 from freqskip.strategies import Strategy, apply_strategy
 
 
@@ -148,6 +146,26 @@ class TestExitCodes:
 
     def test_missing_corpus_is_3(self, tmp_path):
         assert run_cli("label", "--corpus", str(tmp_path / "nope"), "-o", str(tmp_path / "out")) == 3
+
+    @pytest.mark.parametrize("manifest", ['{"ids": 5}', "[1, 2]", '{"ids": ["s0000", 7]}'])
+    def test_malformed_corpus_manifest_is_3(self, workspace, tmp_path, manifest):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "manifest.json").write_text(manifest)
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("label", "--corpus", str(corpus), "-o", str(tmp_path / "labels")) == 3
+        assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(tmp_path / "ev")) == 3
+        assert not (tmp_path / "labels").exists() and not (tmp_path / "ev").exists()
+
+    def test_config_that_is_a_directory_is_2(self, tmp_path):
+        assert run_cli("corpus", "-c", str(tmp_path), "-o", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_is_3(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert run_cli("corpus", "--corpus-size", "2", "-o", str(out)) == 3
+        assert out.read_text() == "not a directory"
 
     def test_bad_model_file_is_3(self, tmp_path, workspace):
         bad = tmp_path / "bad.json"
@@ -348,7 +366,7 @@ class TestRunCommand:
             "none",
         )
         target = load_image(target_path)
-        baseline, _ = apply_strategy(target, RunConfig().trace_config(), Strategy.none())
+        baseline, _ = apply_strategy(target, RunConfig().validate()[0], Strategy.none())
         ref_path = tmp_path / "ref.f32"
         save_image(baseline, ref_path, "rawf32")
         assert (out / "output.f32").read_bytes() == ref_path.read_bytes()
@@ -416,19 +434,15 @@ class TestEvaluateCommand:
 
 
     def test_split_matches_model_free_split(self, workspace, tmp_path):
-        # the split comes from the evaluate pass; the workspace model picks
-        # skip_3 (the probe's own image) on some samples, and a constant
-        # uncond_3 model never emits the probe's image
+        # the split comes from the evaluate pass, yet no model moves it: the
+        # workspace model picks skip_3 (the probe's own image) on some
+        # samples, and a constant uncond_3 model never emits the probe's image
         ids = ["s0000", "s0002", "s0003", "s0004", "s0010"]
         corpus = small_corpus(workspace, tmp_path / "corpus", ids)
-        specs = [TargetSpec(path=str(corpus / f"{sid}.f32")) for sid in ids]
-        cfg = RunConfig()
-        sensitive, robust = sensitivity_split(specs, cfg.trace_config(), cfg.tau_sensitivity, ids=ids)
-        assert sensitive and robust
         constant = tmp_path / "uncond_3.json"
-        save_model(
-            TrainedModel("logreg", ("uncond_3",), Standardizer.identity(2), np.zeros((1, 2)), np.zeros(1)), constant
-        )
+        identity = Standardizer((0.0, 0.0), (1.0, 1.0), (False, False))
+        save_model(TrainedModel("logreg", ("uncond_3",), identity, np.zeros((1, 2)), np.zeros(1)), constant)
+        splits = set()
         for model, picks in ((workspace / "model" / "model.json", {"skip_3", "uncond_3"}), (constant, {"uncond_3"})):
             for jobs in ("1", "2"):
                 out = tmp_path / f"{model.stem}_{jobs}"
@@ -436,8 +450,10 @@ class TestEvaluateCommand:
                 assert run_cli(*argv, "--jobs", jobs, "-o", str(out)) == 0
                 rows = (out / "evaluation.csv").read_text().splitlines()[1:]
                 assert {row.split(",")[1] for row in rows} == picks
-                assert (out / "sensitive.txt").read_text().split() == sensitive
-                assert (out / "robust.txt").read_text().split() == robust
+                splits.add(tuple(tuple((out / f"{name}.txt").read_text().split()) for name in ("sensitive", "robust")))
+        ((sensitive, robust),) = splits
+        assert sensitive and robust
+        assert sorted(sensitive + robust) == ids
 
 
 class TestJobsFlag:

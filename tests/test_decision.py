@@ -96,7 +96,7 @@ class TestLogReg:
         model = TrainedModel(
             kind="logreg",
             classes=CLASSES2,
-            standardizer=Standardizer.identity(2),
+            standardizer=Standardizer((0.0, 0.0), (1.0, 1.0), (False, False)),
             weights=np.zeros((2, 2)),
             biases=np.zeros(2),
         )
@@ -284,7 +284,7 @@ class TestPredict:
         bare = TrainedModel(
             kind="logreg",
             classes=model.classes,
-            standardizer=Standardizer.identity(2),
+            standardizer=Standardizer((0.0, 0.0), (1.0, 1.0), (False, False)),
             weights=model.weights,
             biases=model.biases,
         )
@@ -442,7 +442,7 @@ class TestSerialization:
         model = TrainedModel(
             kind="logreg",
             classes=("skip_3", "none"),
-            standardizer=Standardizer.identity(2),
+            standardizer=Standardizer((0.0, 0.0), (1.0, 1.0), (False, False)),
             weights=np.zeros((2, 2)),
             biases=np.zeros(2),
         )

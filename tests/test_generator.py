@@ -8,12 +8,12 @@ from freqskip import frequency, generator, image
 from freqskip.frequency import HFParams, hf_ratio
 from freqskip.generator import (
     DEFAULT_SCHEDULE,
+    StepTrace,
     TargetSpec,
     TraceConfig,
     branch_gap,
     decode_final,
     default_cost_weights,
-    generate_trace,
     step_images,
     synth_target,
 )
@@ -36,9 +36,10 @@ class TestCostWeights:
             assert w[i] / w[0] == pytest.approx((r[i] / r[0]) ** 2, rel=1e-9)
         assert w[10] / w[9] == pytest.approx((r[10] / r[9]) ** 2, rel=1e-9)
 
-    def test_custom_share(self):
-        w = default_cost_weights(late_share=0.5)
-        assert math.fsum(w[-3:]) == pytest.approx(0.5, abs=1e-12)
+    def test_schedule_longer_than_late_group(self):
+        assert len(default_cost_weights((8, 16, 24, 32))) == 4
+        with pytest.raises(ValueError, match="more than 3 steps"):
+            default_cost_weights((8, 16, 32))
 
 
 class TestTraceConfig:
@@ -149,15 +150,16 @@ def blob_target():
 
 @pytest.fixture(scope="module")
 def default_trace(blob_target):
-    return generate_trace(blob_target, TraceConfig(seed=3))
+    return StepTrace(blob_target, TraceConfig(seed=3))
 
 
 class TestGenerateTrace:
     def test_reproducible_bit_identical(self, blob_target):
         cfg = TraceConfig(seed=11)
-        t1 = generate_trace(blob_target, cfg)
-        t2 = generate_trace(blob_target, cfg)
-        for a, b in zip(t1.records, t2.records):
+        t1 = StepTrace(blob_target, cfg)
+        t2 = StepTrace(blob_target, cfg)
+        for k in range(1, cfg.steps + 1):
+            a, b = t1.step(k), t2.step(k)
             assert np.array_equal(a.cond, b.cond)
             assert np.array_equal(a.uncond, b.uncond)
             assert np.array_equal(a.combined, b.combined)
@@ -170,29 +172,29 @@ class TestGenerateTrace:
             assert rec.combined.shape == (r, r)
 
     def test_alpha_zero_branches_equal(self, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=3, gap_alpha=0.0))
-        for rec in trace.records:
+        trace = StepTrace(blob_target, TraceConfig(seed=3, gap_alpha=0.0))
+        for rec in map(trace.step, range(1, trace.config.steps + 1)):
             assert np.array_equal(rec.cond, rec.uncond)
             assert np.array_equal(rec.combined, np.clip(rec.cond, 0.0, 1.0))
 
     def test_guidance_one_emits_conditional(self, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=3, guidance=1.0))
-        for rec in trace.records:
+        trace = StepTrace(blob_target, TraceConfig(seed=3, guidance=1.0))
+        for rec in map(trace.step, range(1, trace.config.steps + 1)):
             assert np.array_equal(rec.combined, np.clip(rec.cond, 0.0, 1.0))
 
     def test_combined_clamped(self, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=3, gap_alpha=0.4))
-        for rec in trace.records:
+        trace = StepTrace(blob_target, TraceConfig(seed=3, gap_alpha=0.4))
+        for rec in map(trace.step, range(1, trace.config.steps + 1)):
             assert rec.combined.min() >= 0.0 and rec.combined.max() <= 1.0
 
     def test_wrong_target_size(self, rng):
         with pytest.raises(ValueError):
-            generate_trace(rng.random((64, 64)), TraceConfig())
+            StepTrace(rng.random((64, 64)), TraceConfig())
 
 
 class TestStepTrace:
     def test_step_built_on_first_read_until_released(self, blob_target, step_builds):
-        trace = generate_trace(blob_target, TraceConfig(seed=3))
+        trace = StepTrace(blob_target, TraceConfig(seed=3))
         assert step_builds == []
         first = trace.step(9)
         assert trace.step(9) is first
@@ -205,9 +207,9 @@ class TestStepTrace:
 
     def test_records_equal_step_images(self, blob_target):
         cfg = TraceConfig(seed=3)
-        trace = generate_trace(blob_target, cfg)
-        for k, rec in enumerate(trace.records, start=1):
-            for a, b in zip((rec.cond, rec.uncond, rec.combined), step_images(blob_target, cfg, k)):
+        trace = StepTrace(blob_target, cfg)
+        for k in range(1, cfg.steps + 1):
+            for a, b in zip(trace.step(k), step_images(blob_target, cfg, k)):
                 assert np.array_equal(a, b)
 
 
@@ -306,19 +308,19 @@ class TestProcessConstants:
 
 class TestBranchGap:
     def test_alpha_zero_gap_zero(self, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=0, gap_alpha=0.0))
+        trace = StepTrace(blob_target, TraceConfig(seed=0, gap_alpha=0.0))
         assert all(branch_gap(trace, k) == 0.0 for k in range(1, 13))
 
     def test_strictly_decreasing_over_seeds(self, blob_target):
         for seed in range(20):
-            trace = generate_trace(blob_target, TraceConfig(seed=seed))
+            trace = StepTrace(blob_target, TraceConfig(seed=seed))
             gaps = [branch_gap(trace, k) for k in range(1, 13)]
             assert all(a > b for a, b in zip(gaps, gaps[1:])), f"seed {seed}"
 
     def test_decay_ratio_near_gamma(self, blob_target):
         ratios = []
         for seed in range(10):
-            trace = generate_trace(blob_target, TraceConfig(seed=seed))
+            trace = StepTrace(blob_target, TraceConfig(seed=seed))
             gaps = [branch_gap(trace, k) for k in range(1, 13)]
             ratios.extend(gaps[k + 1] / gaps[k] for k in range(2, 11))
         for r in ratios:
@@ -347,7 +349,7 @@ class TestDecodeFinal:
             TargetSpec(seed=4, blobs=1, noise_amp=0.25, noise_scale=0.5, noise_octaves=4, noise_persistence=0.5),
             256,
         )
-        fine_trace = generate_trace(fine, default_trace.config)
+        fine_trace = StepTrace(fine, default_trace.config)
         blob_ssim = ssim(decode_final(default_trace, 9), default_trace.final)
         fine_ssim = ssim(decode_final(fine_trace, 9), fine_trace.final)
         assert fine_ssim < blob_ssim
@@ -357,7 +359,7 @@ class TestDecodeFinal:
         assert all(a >= b for a, b in zip(l1s, l1s[1:]))
 
     def test_ssim_monotone_interpolation_only(self, blob_target):
-        trace = generate_trace(blob_target, TraceConfig(seed=3, gap_alpha=0.0))
+        trace = StepTrace(blob_target, TraceConfig(seed=3, gap_alpha=0.0))
         vals = [ssim(decode_final(trace, k), trace.final) for k in range(1, 13)]
         assert all(b >= a - 1e-4 for a, b in zip(vals, vals[1:]))
 

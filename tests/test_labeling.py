@@ -13,12 +13,12 @@ from freqskip.strategies import DEFAULT_LADDER, Strategy, apply_strategy
 from freqskip.labeling import (
     FEATURES_HEADER,
     LABELS_HEADER,
+    SENSITIVITY_PROBE,
     assign_label,
     build_dataset,
     label_sample,
     ordered_ladder_ids,
     read_feature_csv,
-    sensitivity_split,
     split_by_probe,
     strategy_fidelity,
 )
@@ -105,9 +105,6 @@ class TestOnePassLabeling:
         label_sample(frozen_targets[0], FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
         # baseline and uncond_n at 12, skip_1/2/3 at 11/10/9, features at 9 and 8
         assert sorted(built) == [8, 9, 10, 11, 12]
-        built.clear()
-        sensitivity_split(default_corpus(2, seed=0), FROZEN_TRACE, 0.85)
-        assert sorted(built) == [9, 9, 12, 12]  # per sample: the baseline and the skip_3 probe
 
 
 class TestLabelMonotonicity:
@@ -187,25 +184,23 @@ class TestFidelityDominance:
             assert good / len(frozen_records) >= 0.95
 
 
+def probe_split(records, tau_s):
+    """``split_by_probe`` of the records' ids and their probe SSIMs."""
+    return split_by_probe([r.sample_id for r in records], [r.ssims[SENSITIVITY_PROBE.ident] for r in records], tau_s)
+
+
 class TestSensitivitySplit:
-    def test_endpoints(self):
-        specs = default_corpus(4, seed=2)
-        sens, rob = sensitivity_split(specs, FROZEN_TRACE, 0.0)
+    def test_endpoints(self, frozen_records):
+        records = frozen_records[:4]
+        sens, rob = probe_split(records, 0.0)
         assert sens == [] and len(rob) == 4
-        sens, rob = sensitivity_split(specs, FROZEN_TRACE, 1.0)
+        sens, rob = probe_split(records, 1.0)
         assert rob == [] and len(sens) == 4
 
-    def test_partition_exact(self):
-        specs = default_corpus(6, seed=4)
-        sens, rob = sensitivity_split(specs, FROZEN_TRACE, 0.85)
+    def test_partition_exact(self, frozen_records):
+        sens, rob = probe_split(frozen_records[:6], 0.85)
         assert sorted(sens + rob) == [f"s{i:04d}" for i in range(6)]
-
-    def test_ids_checked_like_build_dataset(self):
-        specs = default_corpus(3, seed=2)
-        with pytest.raises(ValueError, match="2 ids for 3 specs"):
-            sensitivity_split(specs, FROZEN_TRACE, 0.85, ids=["a", "b"])
-        with pytest.raises(ValueError, match="must not be empty"):
-            sensitivity_split([], FROZEN_TRACE, 0.85)
+        assert sens and rob
 
     def test_split_by_probe_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="1 ids for 2 probe SSIMs"):

@@ -8,7 +8,7 @@ from freqskip import metrics, pipeline
 from freqskip.corpus import default_corpus, family_a, family_b
 from freqskip.decision import Standardizer, TrainedModel, predict
 from freqskip.features import decision_features
-from freqskip.generator import TargetSpec, TraceConfig, generate_trace, synth_target
+from freqskip.generator import StepTrace, TargetSpec, TraceConfig, synth_target
 from freqskip.labeling import SENSITIVITY_PROBE, assign_label, label_sample, ordered_ladder_ids, strategy_fidelity
 from freqskip.metrics import ssim, ssim_hf
 from freqskip.pipeline import (
@@ -47,7 +47,7 @@ def constant_model(ident: str) -> TrainedModel:
     return TrainedModel(
         kind="logreg",
         classes=(ident,),
-        standardizer=Standardizer.identity(2),
+        standardizer=Standardizer((0.0, 0.0), (1.0, 1.0), (False, False)),
         weights=np.zeros((1, 2)),
         biases=np.zeros(1),
     )
@@ -103,7 +103,7 @@ class TestPipelineConfig:
 class TestRunAccelerated:
     def test_none_model_reproduces_baseline(self):
         target = synth_target(TargetSpec(seed=4, blobs=3), 256)
-        trace = generate_trace(target, FROZEN_TRACE)
+        trace = StepTrace(target, FROZEN_TRACE)
         out, report = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, constant_model("none"))
         assert np.array_equal(out, trace.final)
         assert report.strategy == "none"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_TRACE
-from freqskip.generator import TargetSpec, TraceConfig, generate_trace, synth_target
+from freqskip.generator import StepTrace, TargetSpec, TraceConfig, synth_target
 from freqskip.metrics import ssim
 from freqskip.strategies import (
     DEFAULT_LADDER,
@@ -241,7 +241,7 @@ class TestLadderOrder:
 
 class TestApplyStrategy:
     def test_none_matches_trace_final(self, blob_target, cfg):
-        trace = generate_trace(blob_target, cfg)
+        trace = StepTrace(blob_target, cfg)
         out, cost = apply_strategy(blob_target, cfg, Strategy.none())
         assert np.array_equal(out, trace.final)
         assert cost == pytest.approx(2.0, abs=1e-12)
