@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config file ({exc})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         fields = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -197,16 +199,29 @@ def cmd_corpus(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg
 
 
 def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
-    """Sample ids and file-backed target specs of a ``freqskip corpus`` directory."""
+    """Sample ids and file-backed target specs of a ``freqskip corpus`` directory.
+
+    Each id names one file in the directory, so an id that is empty, ``.``,
+    ``..`` or holds a path separator is rejected, and so is a repeated id.
+    """
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ImageFormatError(f"{corpus_dir}: not a corpus directory ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ImageFormatError(f"{manifest_path}: not ASCII text ({exc})") from None
     ids = manifest.get("ids") if isinstance(manifest, dict) else None
     if not json_fits(ids, tuple[str, ...]):
         raise ImageFormatError(f"{manifest_path}: 'ids' must be a list of strings, got {ids!r}")
+    seen: set[str] = set()
+    for sid in ids:
+        if sid in ("", ".", "..") or "/" in sid or os.sep in sid:
+            raise ImageFormatError(f"{manifest_path}: sample id {sid!r} is not a file name in the corpus")
+        if sid in seen:
+            raise ImageFormatError(f"{manifest_path}: sample id {sid!r} appears more than once")
+        seen.add(sid)
     return list(ids), [TargetSpec(path=os.path.join(corpus_dir, f"{sid}.f32")) for sid in ids]
 
 

@@ -544,4 +544,6 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{os.fspath(path)}: malformed JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{os.fspath(path)}: not ASCII text ({exc})") from exc
     return _model_from_json(obj)

@@ -10,17 +10,19 @@ Reported cost counts every executed branch pass at its step weight (halved
 steps count once, skipped steps not at all) plus the fixed decision overhead
 ``strategies.DECISION_OVERHEAD`` of the baseline.
 
-Evaluation mode additionally generates the non-accelerated baseline to score
-SSIM / SSIM-HF against it (the one SSIM, ``metrics.SsimParams()``, and the
-one mask, ``metrics.HF_MASK_QUANTILE``); production mode skips that
-entirely.
+:func:`run_accelerated` never scores its output.  :func:`evaluate` is the
+one scorer: per sample it reads the non-accelerated baseline from the same
+trace and takes SSIM and SSIM-HF (the one SSIM, ``metrics.SsimParams()``,
+and the one mask, ``metrics.HF_MASK_QUANTILE``) from one SSIM map of the
+output against it.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
@@ -32,7 +34,7 @@ from .features import step_features
 from .frequency import HFParams, hf_ratio
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
 from .labeling import SENSITIVITY_PROBE, build_dataset
-from .metrics import SsimParams, hf_mean, ssim_map, ssim_maps
+from .metrics import SsimParams, hf_mean, ssim_maps
 from .strategies import DECISION_OVERHEAD, DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy, speedup
 
 
@@ -95,8 +97,6 @@ class RunReport:
     features: FeatureVector
     cost: float
     speedup: float
-    ssim: float | None = None
-    ssim_hf: float | None = None
 
 
 def _check_model(model: TrainedModel, pcfg: PipelineConfig) -> None:
@@ -112,23 +112,17 @@ def run_accelerated(
     pcfg: PipelineConfig,
     model: TrainedModel | None,
     force_strategy: Strategy | None = None,
-    compute_baseline: bool = False,
 ) -> tuple[np.ndarray, RunReport]:
     """One adaptive generation run; returns the output image and its report."""
-    trace = StepTrace(target, cfg)
-    out, report = _run(trace, pcfg, model, force_strategy)
-    if compute_baseline:
-        ssim_val, ssim_hf_val, _ = _score(trace, out)
-        report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
-    return out, report
+    return _run(StepTrace(target, cfg), pcfg, model, force_strategy)
 
 
 def _run(
     trace: StepTrace, pcfg: PipelineConfig, model: TrainedModel | None, force_strategy: Strategy | None = None
 ) -> tuple[np.ndarray, RunReport]:
-    """:func:`run_accelerated` without baseline scores, reading its steps
-    from ``trace``: the features read the decision step and the one before
-    it, and the output is read from the strategy's stop step."""
+    """:func:`run_accelerated` reading its steps from ``trace``: the
+    features read the decision step and the one before it, and the output is
+    read from the strategy's stop step."""
     cfg = trace.config
     pcfg.validate_for(cfg)
     if force_strategy is not None:
@@ -150,43 +144,32 @@ def _run(
     return out, report
 
 
-def _score(trace: StepTrace, out: np.ndarray, probe: np.ndarray | None = None) -> tuple[float, float, float | None]:
-    """SSIM and SSIM-HF of the output ``out`` against the trace's baseline
-    output, both taken from one SSIM map, and the SSIM of ``probe`` against
-    the same baseline if given (the baseline's moments filtered once)."""
-    baseline = trace.final
-    probe_ssim = None
-    if probe is None:
-        smap = ssim_map(baseline, out)
-    else:
-        smap, probe_map = ssim_maps(baseline, (out, probe))
-        probe_ssim = float(np.mean(probe_map))
-    return float(np.mean(smap)), hf_mean(smap, baseline), probe_ssim
-
-
 EVAL_CSV_HEADER = "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
 
 
 @dataclass
 class EvalResult:
-    """Per-sample reports, plus each sample's SSIM under the sensitivity
-    probe (``labeling.SENSITIVITY_PROBE``) against the same baseline."""
+    """Per-sample reports and, parallel to them, each sample's SSIM and
+    SSIM-HF against its baseline and its SSIM under the sensitivity probe
+    (``labeling.SENSITIVITY_PROBE``) against the same baseline."""
 
     ids: list[str]
     reports: list[RunReport]
+    ssims: list[float]
+    ssim_hfs: list[float]
     probe_ssims: list[float]
 
     @property
     def mean_ssim(self) -> float:
-        return float(np.mean([r.ssim for r in self.reports]))
+        return float(np.mean(self.ssims))
 
     @property
     def min_ssim(self) -> float:
-        return float(np.min([r.ssim for r in self.reports]))
+        return float(np.min(self.ssims))
 
     @property
     def mean_ssim_hf(self) -> float:
-        return float(np.mean([r.ssim_hf for r in self.reports]))
+        return float(np.mean(self.ssim_hfs))
 
     @property
     def mean_speedup(self) -> float:
@@ -194,10 +177,7 @@ class EvalResult:
 
     @property
     def histogram(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.reports:
-            counts[r.strategy] = counts.get(r.strategy, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(r.strategy for r in self.reports).items()))
 
     def summary(self) -> dict:
         return {
@@ -212,27 +192,28 @@ class EvalResult:
     def write_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(EVAL_CSV_HEADER + "\n")
-            for sid, r in zip(self.ids, self.reports):
+            for sid, r, ssim, ssim_hf in zip(self.ids, self.reports, self.ssims, self.ssim_hfs):
                 fh.write(
                     f"{sid},{r.strategy},{r.features.hf_diff!r},{r.features.hf_ratio!r},"
-                    f"{r.ssim!r},{r.ssim_hf!r},{r.cost!r},{r.speedup!r}\n"
+                    f"{ssim!r},{ssim_hf!r},{r.cost!r},{r.speedup!r}\n"
                 )
 
 
 def _evaluate_spec(
     spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel
-) -> tuple[RunReport, float]:
-    """One sample's report with baseline scores, and its probe SSIM, all
-    read from one trace."""
+) -> tuple[RunReport, float, float, float]:
+    """One sample's report, its SSIM and SSIM-HF against the baseline, and
+    its probe SSIM, all read from one trace and one ``ssim_maps`` pass: the
+    output's map gives both scores, and the probe is decoded and scored
+    only when it emits an image other than the output."""
     trace = StepTrace(synth_target(spec, cfg.full_size), cfg)
     out, report = _run(trace, pcfg, model)
+    outputs = [out]
     probe_key = output_key(SENSITIVITY_PROBE, cfg.steps)
-    probe = None
     if probe_key != output_key(parse_strategy(report.strategy), cfg.steps):
-        probe = decode_final(trace, *probe_key)
-    ssim_val, ssim_hf_val, probe_ssim = _score(trace, out, probe)
-    report = replace(report, ssim=ssim_val, ssim_hf=ssim_hf_val)
-    return report, ssim_val if probe_ssim is None else probe_ssim
+        outputs.append(decode_final(trace, *probe_key))
+    maps = list(ssim_maps(trace.final, outputs))
+    return report, float(np.mean(maps[0])), hf_mean(maps[0], trace.final), float(np.mean(maps[-1]))
 
 
 def evaluate(
@@ -247,7 +228,8 @@ def evaluate(
     scoring and the sensitivity probe per sample."""
     ids = sample_ids(specs, ids)
     scored = _map_jobs(partial(_evaluate_spec, cfg=cfg, pcfg=pcfg, model=model), specs, jobs)
-    return EvalResult(ids=ids, reports=[r for r, _ in scored], probe_ssims=[p for _, p in scored])
+    reports, ssims, ssim_hfs, probe_ssims = (list(column) for column in zip(*scored))
+    return EvalResult(ids=ids, reports=reports, ssims=ssims, ssim_hfs=ssim_hfs, probe_ssims=probe_ssims)
 
 
 def train_from_samples(samples, classes: tuple[str, ...], kind: str = "logreg") -> TrainedModel:
@@ -289,17 +271,10 @@ def generalization_check(
     train_samples = build_dataset(train_specs, cfg, pcfg, tau)
     model = train_from_samples(train_samples, tuple(pcfg.ladder_ids()), kind)
     heldout_samples = build_dataset(heldout_specs, cfg, pcfg, tau)
-    agree = 0
-    model_ssims = []
-    oracle_ssims = []
-    histogram: dict[str, int] = {}
-    for sample in heldout_samples:
-        chosen = predict(model, sample.features)
-        histogram[chosen] = histogram.get(chosen, 0) + 1
-        if chosen == sample.label:
-            agree += 1
-        model_ssims.append(sample.ssims[chosen])
-        oracle_ssims.append(sample.ssims[sample.label])
+    chosen = [predict(model, sample.features) for sample in heldout_samples]
+    agree = sum(c == sample.label for c, sample in zip(chosen, heldout_samples))
+    model_ssims = [sample.ssims[c] for c, sample in zip(chosen, heldout_samples)]
+    oracle_ssims = [sample.ssims[sample.label] for sample in heldout_samples]
     model_mean = float(np.mean(model_ssims))
     oracle_mean = float(np.mean(oracle_ssims))
     return GeneralizationReport(
@@ -307,7 +282,7 @@ def generalization_check(
         oracle_mean_ssim=oracle_mean,
         ssim_gap=oracle_mean - model_mean,
         label_agreement=agree / len(heldout_samples),
-        histogram=dict(sorted(histogram.items())),
+        histogram=dict(sorted(Counter(chosen).items())),
     )
 
 

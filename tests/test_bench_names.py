@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps freqskip functions by ``module.function``
-name; a rename in the package must fail here, not silently untrace a layer."""
+name, and its workloads call freqskip by name; a rename or a changed
+signature in the package must fail here, not silently untrace a layer or
+fail only inside a bench run."""
 
 import ast
 import importlib
+import inspect
 import os
 
 BENCH_TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "tracer.py")
@@ -34,7 +37,8 @@ BENCH_DIR = os.path.dirname(BENCH_TRACER)
 def _bench_symbols(filename: str) -> tuple[ast.Module, dict]:
     """A bench script's syntax tree and its module-level names that hold
     freqskip objects: imported modules and members, a namespace per imported
-    bench script, and, for an instance built at module level, its class."""
+    bench script, and, for an instance built at module level, its class
+    wrapped in :class:`_Instance`."""
     with open(os.path.join(BENCH_DIR, filename), "r", encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     symbols: dict = {}
@@ -54,7 +58,7 @@ def _bench_symbols(filename: str) -> tuple[ast.Module, dict]:
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             cls = _resolve(node.value.func, symbols)
             if isinstance(cls, type):
-                symbols.update({t.id: cls for t in node.targets if isinstance(t, ast.Name)})
+                symbols.update({t.id: _Instance(cls) for t in node.targets if isinstance(t, ast.Name)})
     return tree, symbols
 
 
@@ -64,6 +68,13 @@ class _Missing(str):
 
 class _Namespace(dict):
     """The freqskip symbols of another bench script."""
+
+
+class _Instance:
+    """An instance of a freqskip class, known only by its class."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
 
 
 _UNKNOWN = object()  # a value whose attributes the checker cannot know
@@ -81,9 +92,13 @@ def _resolve(node: ast.expr, symbols: dict):
         return base
     if isinstance(base, _Namespace):
         return base.get(node.attr, _UNKNOWN)
-    if hasattr(base, node.attr):
-        return getattr(base, node.attr)
-    if isinstance(base, type) and node.attr in getattr(base, "__dataclass_fields__", {}):
+    instance = isinstance(base, _Instance)
+    owner = base.cls if instance else base
+    if hasattr(owner, node.attr):
+        value = getattr(owner, node.attr)
+        # a method read from an instance is bound: its signature drops self
+        return value.__get__(base) if instance and inspect.isfunction(value) else value
+    if isinstance(owner, type) and node.attr in getattr(owner, "__dataclass_fields__", {}):
         return _UNKNOWN  # a dataclass field without a default
     return _Missing(ast.unparse(node))
 
@@ -102,3 +117,37 @@ def test_every_bench_read_resolves():
                     checked.add(ast.unparse(node))
     assert missing == []
     assert {"strategies.Strategy.none", "strategies.apply_strategy", "PIPE_CFG.cost_model"} <= checked
+
+
+def _is_freqskip_callable(value) -> bool:
+    return callable(value) and (getattr(value, "__module__", None) or "").split(".")[0] == "freqskip"
+
+
+def test_every_bench_call_binds():
+    """Each bench call into freqskip fits the callee's signature, so a
+    dropped or renamed parameter the bench passes fails here, not only
+    inside a bench run.  Calls that unpack ``*`` or ``**`` are not checked."""
+    unbound, checked = [], set()
+    for filename in ("workloads.py", "record_reference.py"):
+        tree, symbols = _bench_symbols(filename)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                continue
+            callee = _resolve(node.func, symbols)
+            if not _is_freqskip_callable(callee):
+                continue
+            try:
+                inspect.signature(callee).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                unbound.append(f"{filename}:{node.lineno}: {ast.unparse(node)} ({exc})")
+            checked.add(ast.unparse(node.func))
+    assert unbound == []
+    assert {
+        "pipeline.run_accelerated",
+        "labeling.build_dataset",
+        "cli._read_corpus",
+        "PIPE_CFG.cost_model",
+        "strategies.Strategy.none",
+    } <= checked

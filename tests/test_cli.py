@@ -157,6 +157,42 @@ class TestExitCodes:
         assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(tmp_path / "ev")) == 3
         assert not (tmp_path / "labels").exists() and not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize(
+        "ids",
+        [["../corp/s0001", "s0000", "s0000"], ["s0000", "s0000"], [""], ["."], [".."], ["corp/s0001"]],
+        ids=["outside_and_repeated", "repeated", "empty", "dot", "dotdot", "subpath"],
+    )
+    def test_sample_id_that_is_not_one_corpus_file_is_3(self, workspace, tmp_path, ids):
+        # the targets exist: a sibling corpus holds s0001, this one s0000
+        small_corpus(workspace, tmp_path / "corp", ["s0000", "s0001"])
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000"])
+        (corpus / "manifest.json").write_text(json.dumps({"ids": ids}))
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("label", "--corpus", str(corpus), "-o", str(tmp_path / "labels")) == 3
+        assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(tmp_path / "ev")) == 3
+        assert not (tmp_path / "labels").exists() and not (tmp_path / "ev").exists()
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 0, "tau": "\xff"}')
+        assert run_cli("corpus", "-c", str(cfg), "-o", str(tmp_path / "out")) == 2
+        assert f"config error: {cfg}: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_or_model_that_is_not_ascii_is_3_and_named(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "manifest.json"
+        manifest.write_bytes(b'{"ids": ["s\xff"]}')
+        assert run_cli("label", "--corpus", str(corpus), "-o", str(tmp_path / "labels")) == 3
+        assert f"data error: {manifest}: not ASCII" in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"kind": "\xff"}')
+        target = str(workspace / "corpus" / "s0000.f32")
+        assert run_cli("run", "--model", str(model), "--target", target, "-o", str(tmp_path / "run")) == 3
+        assert f"data error: {model}: not ASCII" in capsys.readouterr().err
+        assert not (tmp_path / "labels").exists() and not (tmp_path / "run").exists()
+
     def test_config_that_is_a_directory_is_2(self, tmp_path):
         assert run_cli("corpus", "-c", str(tmp_path), "-o", str(tmp_path / "out")) == 2
         assert not (tmp_path / "out").exists()

@@ -19,7 +19,7 @@ from freqskip.pipeline import (
     run_accelerated,
     train_from_samples,
 )
-from freqskip.strategies import Strategy, apply_strategy
+from freqskip.strategies import Strategy, apply_strategy, parse_strategy
 
 
 TARGET_ENTRIES = {
@@ -144,16 +144,16 @@ class TestRunAccelerated:
         assert report.speedup >= 1.0 / (1.0 + FROZEN_PIPELINE.overhead)
 
     def test_deterministic_report(self, mini_model):
-        target = synth_target(TargetSpec(seed=9, blobs=2, noise_amp=0.15, noise_scale=0.8), 256)
-        r1 = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model, compute_baseline=True)
-        r2 = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model, compute_baseline=True)
+        spec = TargetSpec(seed=9, blobs=2, noise_amp=0.15, noise_scale=0.8)
+        target = synth_target(spec, 256)
+        r1 = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+        r2 = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
         assert np.array_equal(r1[0], r2[0])
         assert r1[1] == r2[1]
-
-    def test_production_mode_skips_baseline(self, mini_model):
-        target = synth_target(TargetSpec(seed=9, blobs=2), 256)
-        _, report = run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
-        assert report.ssim is None and report.ssim_hf is None
+        e1 = evaluate([spec], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+        e2 = evaluate([spec], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+        assert e1 == e2
+        assert e1.reports == [r1[1]]
 
     @pytest.mark.parametrize(
         "strategy", [Strategy.skip(5), Strategy.hybrid(6, 5), Strategy.uncond(4)], ids=lambda s: s.ident
@@ -170,33 +170,32 @@ class TestRunAccelerated:
         with pytest.raises(ValueError, match="outside the ladder"):
             run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, constant_model("skip_9"))
 
-    def test_safety_floor_bounded_by_most_aggressive(self, frozen_records, frozen_targets, mini_model):
-        for record, target in zip(frozen_records[:40], frozen_targets[:40]):
-            _, report = run_accelerated(
-                target, FROZEN_TRACE, FROZEN_PIPELINE, mini_model, compute_baseline=True
-            )
-            assert report.ssim >= record.ssims["skip_3"] - 1e-4
+    def test_safety_floor_bounded_by_most_aggressive(self, frozen_corpus, frozen_records, mini_model):
+        result = evaluate(frozen_corpus[:40], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+        for record, value in zip(frozen_records[:40], result.ssims, strict=True):
+            assert value >= record.ssims["skip_3"] - 1e-4
 
-    def test_baseline_scores_come_from_one_map(self, frozen_targets, monkeypatch):
+    def test_baseline_scores_come_from_one_map(self, frozen_corpus, frozen_targets, monkeypatch):
+        # the chosen output's map gives SSIM and SSIM-HF; the probe, when it
+        # is another image (uncond_3, none), is scored in the same pass
         calls = []
-        original = metrics.ssim_map
+        original = metrics.ssim_maps
 
-        def counted(a, b, params=metrics.SsimParams()):
+        def counted(reference, images, params=metrics.SsimParams()):
             calls.append(1)
-            return original(a, b, params)
+            return original(reference, images, params)
 
-        monkeypatch.setattr(metrics, "ssim_map", counted)
-        monkeypatch.setattr(pipeline, "ssim_map", counted)
-        for target in frozen_targets[:3]:
+        monkeypatch.setattr(metrics, "ssim_maps", counted)
+        monkeypatch.setattr(pipeline, "ssim_maps", counted)
+        for spec, target in zip(frozen_corpus[:3], frozen_targets[:3]):
             baseline, _ = apply_strategy(target, FROZEN_TRACE, Strategy.none())
-            for strategy in (Strategy.skip(3), Strategy.uncond(3), Strategy.none()):
+            for ident in ("skip_3", "uncond_3", "none"):
                 calls.clear()
-                out, report = run_accelerated(
-                    target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy, compute_baseline=True
-                )
+                result = evaluate([spec], FROZEN_TRACE, FROZEN_PIPELINE, constant_model(ident))
                 assert len(calls) == 1
-                assert report.ssim == ssim(baseline, out, FROZEN_PIPELINE.ssim)
-                assert report.ssim_hf == ssim_hf(baseline, out, FROZEN_PIPELINE.ssim)
+                out, _ = apply_strategy(target, FROZEN_TRACE, parse_strategy(ident))
+                assert result.ssims == [ssim(baseline, out, FROZEN_PIPELINE.ssim)]
+                assert result.ssim_hfs == [ssim_hf(baseline, out, FROZEN_PIPELINE.ssim)]
 
 
 class TestStepBuilds:
