@@ -3,7 +3,8 @@
 
 Times each layer named by ROADMAP aim 1 (``synth_target``, ``resize_area``,
 ``resize_bilinear``, ``step_images``, ``sobel_magnitude``, ``dft2``,
-``hf_diff``/``hf_ratio``, ``ssim_map``, ``decision_features``, ``predict``,
+``hf_diff``/``hf_ratio``, ``ssim_map``, ``hf_mean`` (the SSIM-HF mask and
+mean over one SSIM map), ``decision_features``, ``predict``,
 ``label_sample``, ``run_accelerated``), and ``gaussian_filter`` at SSIM's
 radius 5 and at ``synth_target``'s widest noise octave (radius 29), as a
 ``perf_counter`` mean over ``--calls`` calls, after one warm-up call, with
@@ -41,7 +42,7 @@ from freqskip.frequency import dft2, hf_diff, hf_ratio, sobel_magnitude
 from freqskip.generator import TraceConfig, step_images, synth_target
 from freqskip.image import gaussian_filter, resize_area, resize_bilinear
 from freqskip.labeling import build_dataset, label_sample
-from freqskip.metrics import ssim_map
+from freqskip.metrics import hf_mean, ssim_map
 from freqskip.pipeline import PipelineConfig, run_accelerated, train_from_samples
 from freqskip.strategies import Strategy
 
@@ -80,6 +81,7 @@ def layers(seed: int) -> list[tuple[str, object]]:
     i9 = step_images(target, cfg, 9).combined
     a9 = resize_area(i9, pcfg.analysis_size, pcfg.analysis_size)
     up9 = resize_bilinear(i9, cfg.full_size, cfg.full_size)
+    smap = ssim_map(target, up9)
     feats = decision_features(target, cfg, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
     n = pcfg.analysis_size
     return [
@@ -99,6 +101,7 @@ def layers(seed: int) -> list[tuple[str, object]]:
         (f"hf_diff {n}", lambda: hf_diff(i9, i8, n)),
         (f"hf_ratio {n}", lambda: hf_ratio(a9, pcfg.hf)),
         ("ssim_map 256", lambda: ssim_map(target, up9)),
+        ("hf_mean 256", lambda: hf_mean(smap, target)),
         ("decision_features", lambda: decision_features(target, cfg, pcfg.decision_step, n, pcfg.hf)),
         *((f"predict {kind}", lambda m=m: predict(m, feats)) for kind, m in models.items()),
         ("label_sample", lambda: label_sample(target, cfg, pcfg, TAU)),

@@ -6,9 +6,10 @@ evaluates the whole corpus.  Everything lands under the output directory;
 re-running with the same arguments reproduces every file byte for byte.
 After each stage it prints the stage's wall time and the peak resident set
 size so far of this process and of its largest finished child (the
-``--jobs`` pool workers), then the total wall time.
+``--jobs`` pool workers), then the total wall time.  ``--jobs N`` is passed
+to ``corpus``, ``label`` and ``evaluate``; every file is the same at any N.
 
-Usage: PYTHONPATH=src python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T]
+Usage: PYTHONPATH=src python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T] [--jobs N]
 """
 
 import argparse
@@ -30,9 +31,10 @@ def run(args):
     corpus = out / "corpus"
     labels = out / "labels"
     model = out / "model"
+    jobs = ["--jobs", str(args.jobs)]
     steps = [
-        ["corpus", *common, "-o", str(corpus)],
-        ["label", *common, "--corpus", str(corpus), "-o", str(labels)],
+        ["corpus", *common, *jobs, "-o", str(corpus)],
+        ["label", *common, *jobs, "--corpus", str(corpus), "-o", str(labels)],
         [
             "train",
             *common,
@@ -56,6 +58,7 @@ def run(args):
         [
             "evaluate",
             *common,
+            *jobs,
             "--model",
             str(model / "model.json"),
             "--corpus",
@@ -88,4 +91,5 @@ if __name__ == "__main__":
     parser.add_argument("--corpus-size", type=int, default=200)
     parser.add_argument("--tau", type=float, default=0.84)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--jobs", type=int, default=1)
     sys.exit(run(parser.parse_args()))

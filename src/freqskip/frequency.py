@@ -55,7 +55,15 @@ def sobel_magnitude(img: np.ndarray) -> np.ndarray:
     arr = require_gray(img)
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"sobel_magnitude needs at least a 3x3 image, got {arr.shape}")
-    p = np.pad(arr, 1, mode="edge")
+    # replicate border of width 1, filled by slice copies: rows first, then
+    # the two columns, which carries the corners along
+    h, w = arr.shape
+    p = np.empty((h + 2, w + 2))
+    p[1:-1, 1:-1] = arr
+    p[0, 1:-1] = arr[0]
+    p[-1, 1:-1] = arr[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     # one horizontal and one vertical difference of the padded image; each
     # kernel row (column) is a slice of it, summed in the order of
     # (top + 2*middle) + bottom, so the bits match the three-term expression

@@ -7,7 +7,11 @@ returned map has the same shape as the inputs.  Labels, tau and every
 trained model are defined under that one SSIM.  The high-frequency variant
 averages the SSIM map only over the reference image's strongest Sobel
 responses (at or above their :data:`HF_MASK_QUANTILE`, the top quartile),
-emphasizing fine-detail preservation that the plain mean washes out.
+emphasizing fine-detail preservation that the plain mean washes out.  The
+mask's cutoff is numpy's linear quantile, bit for bit, taken from one
+``np.partition`` of the Sobel map.  ``np.quantile`` itself is not called:
+it goes through ``np.unique``, whose first call in a process imports
+``numpy.ma``, a cost every fresh ``--jobs`` worker would pay again.
 Callers that need both scores build one map and take ``np.mean`` and
 :func:`hf_mean` of it; callers that score several images against one
 reference use :func:`ssim_maps`, which filters the reference's moments once.
@@ -15,6 +19,7 @@ reference use :func:`ssim_maps`, which filters the reference's moments once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -105,17 +110,41 @@ def ssim_hf(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> 
     return hf_mean(ssim_map(a, b, params), a)
 
 
+def _hf_cutoff(sob: np.ndarray) -> float:
+    """The :data:`HF_MASK_QUANTILE` quantile of ``sob``, bit for bit
+    ``np.quantile(sob, HF_MASK_QUANTILE)``: one partition at the two order
+    statistics around ``q * (n - 1)`` and at the last index, then numpy's
+    linear interpolation between the two.  The last index holds a NaN if
+    ``sob`` has one, and the cutoff is then NaN, as numpy's is."""
+    n = sob.size
+    pos = (n - 1) * HF_MASK_QUANTILE
+    lo = math.floor(pos)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(sob, (lo, hi, n - 1), axis=None)
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b, t = float(part[lo]), float(part[hi]), pos - lo
+    # the form of numpy's _lerp, which rounds from the nearer end
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
 def hf_mean(values: np.ndarray, reference: np.ndarray) -> float:
     """Mean of a per-pixel map over the reference image's high-frequency pixels.
 
     The mask keeps pixels whose Sobel magnitude in ``reference`` is at least
     the :data:`HF_MASK_QUANTILE` quantile of that map.  A flat reference
     yields the plain mean (every pixel ties at zero, and an empty mask falls
-    back to it as well).
+    back to it as well, as it does when the Sobel map holds a NaN).
+    ``values`` must have the reference's shape.
     """
-    sob = sobel_magnitude(np.asarray(reference, dtype=np.float64))
-    cutoff = np.quantile(sob, HF_MASK_QUANTILE)
-    mask = sob >= cutoff
+    ref = require_gray(reference, "reference")
+    values = np.asarray(values)
+    if values.shape != ref.shape:
+        raise ValueError(f"values of shape {values.shape} do not match the reference's shape {ref.shape}")
+    sob = sobel_magnitude(ref)
+    mask = sob >= _hf_cutoff(sob)
     if not mask.any():
         return float(np.mean(values))
     return float(np.mean(values[mask]))

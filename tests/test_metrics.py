@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import FROZEN_TRACE
 from freqskip.frequency import sobel_magnitude
-from freqskip.metrics import SsimParams, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
+from freqskip.generator import StepTrace, synth_target
+from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, _hf_cutoff, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 
 from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_naive
 
@@ -128,19 +130,66 @@ class TestSsimHf:
     def test_quantile_mask_size(self, rng):
         img = rng.random((20, 20))
         sob = sobel_magnitude(img)
-        q = 0.75
-        cutoff = np.quantile(sob, q)
+        q = HF_MASK_QUANTILE
+        cutoff = _hf_cutoff(sob)
         assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), q), abs=1e-12)
         n_selected = int((sob >= cutoff).sum())
         ties = int((sob == cutoff).sum())
         target = (1 - q) * sob.size
         assert target - ties - 1 <= n_selected <= target + ties + 1
 
+    def test_values_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(8, 8\)"):
+            hf_mean(np.zeros((4, 4)), np.zeros((8, 8)))
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             SsimParams(window=4)
         with pytest.raises(ValueError):
             SsimParams(k1=0.0)
+
+
+class TestHfCutoff:
+    """The mask cutoff equals ``np.quantile(sob, HF_MASK_QUANTILE)`` bit for
+    bit; ``quantile_naive`` checks the value it interpolates to."""
+
+    @pytest.mark.parametrize(
+        "shape, position",
+        [((3, 3), 6.0), ((4, 4), 11.25), ((3, 5), 10.5), ((3, 6), 12.75)],
+        ids=["frac0", "frac25", "frac50", "frac75"],
+    )
+    def test_fractional_positions(self, rng, shape, position):
+        assert (shape[0] * shape[1] - 1) * HF_MASK_QUANTILE == position
+        for _ in range(20):
+            sob = sobel_magnitude(rng.random(shape))
+            cutoff = _hf_cutoff(sob)
+            assert cutoff == np.quantile(sob, HF_MASK_QUANTILE)
+            assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), HF_MASK_QUANTILE), abs=1e-12)
+
+    def test_tied_maps(self):
+        two_level = np.zeros((12, 12))
+        two_level[:, 6:] = 1.0
+        for img in (np.full((12, 12), 0.4), two_level):
+            sob = sobel_magnitude(img)
+            assert _hf_cutoff(sob) == np.quantile(sob, HF_MASK_QUANTILE)
+
+    def test_nan_map_gives_nan_and_the_plain_mean(self, rng):
+        ref = rng.random((9, 9))
+        ref[4, 4] = np.nan
+        sob = sobel_magnitude(ref)
+        assert np.isnan(_hf_cutoff(sob)) and np.isnan(np.quantile(sob, HF_MASK_QUANTILE))
+        values = rng.random((9, 9))
+        assert hf_mean(values, ref) == float(np.mean(values))
+
+    def test_frozen_final_images(self, frozen_corpus):
+        for spec in frozen_corpus[:8]:
+            target = synth_target(spec, FROZEN_TRACE.full_size)
+            final = StepTrace(target, FROZEN_TRACE).final
+            values = ssim_map(final, target)
+            sob = sobel_magnitude(final)
+            cutoff = np.quantile(sob, HF_MASK_QUANTILE)
+            assert _hf_cutoff(sob) == cutoff
+            assert hf_mean(values, final) == float(np.mean(values[sob >= cutoff]))
 
 
 class TestL1Mean:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,6 +287,30 @@ class TestEvaluate:
     def test_empty_corpus_rejected(self, mini_model):
         with pytest.raises(ValueError):
             evaluate([], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
+
+    def test_evaluate_leaves_numpy_ma_unimported(self):
+        # every --jobs worker is a fresh fork of a parent that never imports
+        # numpy.ma, so a per-sample call that does (np.quantile, np.unique)
+        # costs each worker the import again on every CLI call
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from freqskip.corpus import default_corpus\n"
+            "from freqskip.decision import Standardizer, TrainedModel\n"
+            "from freqskip.generator import TraceConfig\n"
+            "from freqskip.pipeline import PipelineConfig, evaluate\n"
+            "model = TrainedModel(kind='logreg', classes=('uncond_3',),"
+            " standardizer=Standardizer((0.0, 0.0), (1.0, 1.0), (False, False)),"
+            " weights=np.zeros((1, 2)), biases=np.zeros(1))\n"
+            "result = evaluate(default_corpus(2, seed=0), TraceConfig(seed=0), PipelineConfig(), model, jobs=1)\n"
+            "assert len(result.ssim_hfs) == 2\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_id_count_must_match_specs(self):
         with pytest.raises(ValueError, match="1 ids for 3 specs"):

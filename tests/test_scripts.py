@@ -24,3 +24,16 @@ def test_script_exits_zero(script, args, tmp_path):
     argv = [sys.executable, os.path.join("scripts", script), *(a.format(tmp=tmp_path) for a in args)]
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_workflow_at_two_jobs_matches_one_job(tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
+    trees = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        argv = [sys.executable, os.path.join("scripts", "run_workflow.py"), str(out), "--corpus-size", "16"]
+        proc = subprocess.run([*argv, "--jobs", str(jobs)], cwd=ROOT, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        trees[jobs] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert len(trees[1]) > 16
+    assert trees[2] == trees[1]
