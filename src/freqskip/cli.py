@@ -34,7 +34,8 @@ from .decision import TRAINERS, FeatureVector, json_fits, load_model, predict, s
 from .frequency import HFParams, hf_ratio
 from .generator import TargetSpec, TraceConfig, synth_target
 from .image import ImageFormatError, save_image
-from .labeling import LabeledSample, build_dataset, read_feature_csv, split_by_probe
+from .labeling import LabeledSample, build_dataset, read_feature_csv, split_by_probe, write_features_csv
+from .labeling import write_labels_csv
 from .pipeline import PipelineConfig, evaluate, run_accelerated, train_from_samples
 from .strategies import parse_strategy
 
@@ -228,16 +229,9 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
 def cmd_label(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
     ids, specs = _read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
-    samples = build_dataset(
-        specs,
-        tcfg,
-        pcfg,
-        cfg.tau,
-        os.path.join(args.out, "features.csv"),
-        os.path.join(args.out, "labels.csv"),
-        ids=ids,
-        jobs=args.jobs,
-    )
+    samples = build_dataset(specs, tcfg, pcfg, cfg.tau, ids=ids, jobs=args.jobs)
+    write_features_csv(samples, os.path.join(args.out, "features.csv"))
+    write_labels_csv(samples, os.path.join(args.out, "labels.csv"))
     histogram = dict(sorted(Counter(s.label for s in samples).items()))
     return {"tau": cfg.tau, "label_histogram": histogram}, f"{len(samples)} samples, histogram {histogram}"
 
@@ -245,11 +239,16 @@ def cmd_label(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg:
 def cmd_train(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pcfg: PipelineConfig) -> tuple[dict, str]:
     kind = cfg.model_kind
     feat_ids, x, _ = read_feature_csv(args.features)
-    label_ids, _, labels = read_feature_csv(args.labels)
+    label_ids, label_x, labels = read_feature_csv(args.labels)
     if labels is None:
         raise ValueError(f"{args.labels}: missing label column")
     if feat_ids != label_ids:
         raise ValueError("feature and label CSVs disagree on sample ids")
+    # labels made under other settings (another hf_rho, say) keep the ids
+    # but not the features; NaN rows reach FeatureVector's own error
+    if not np.array_equal(x, label_x, equal_nan=True):
+        sid = next(s for s, a, b in zip(feat_ids, x, label_x) if not np.array_equal(a, b, equal_nan=True))
+        raise ValueError(f"feature and label CSVs disagree on the features of sample {sid!r}")
     samples = [
         LabeledSample(sid, FeatureVector(*row), lab, ssims={})
         for sid, row, lab in zip(feat_ids, x, labels)
@@ -332,10 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--corpus-size", dest="corpus_size", type=int, help="override corpus size")
     common.add_argument("--corpus-kind", dest="corpus_kind", choices=_CORPUS_KINDS, help="recipe family")
     common.add_argument("--model-kind", dest="model_kind", choices=TRAINERS)
-    common.add_argument(
+    common.add_argument("--out", "-o", required=True)
+    # only the commands that map over a corpus run a pool
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument(
         "--jobs", type=int, default=1, help="parallel workers, capped at the CPU count (default 1, bit-stable)"
     )
-    common.add_argument("--out", "-o", required=True)
 
     parser = argparse.ArgumentParser(
         prog="freqskip",
@@ -343,10 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("corpus", parents=[common], help="materialize the frozen procedural corpus")
+    p = sub.add_parser("corpus", parents=[common, pooled], help="materialize the frozen procedural corpus")
     p.set_defaults(handler=cmd_corpus)
 
-    p = sub.add_parser("label", parents=[common], help="simulate strategies and emit feature/label CSVs")
+    p = sub.add_parser("label", parents=[common, pooled], help="simulate strategies and emit feature/label CSVs")
     p.add_argument("--corpus", required=True)
     p.set_defaults(handler=cmd_label)
 
@@ -361,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-strategy", dest="force_strategy")
     p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate a model over a corpus")
+    p = sub.add_parser("evaluate", parents=[common, pooled], help="evaluate a model over a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split-sensitivity", action="store_true")
@@ -372,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if "jobs" in args and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         cfg = RunConfig.from_file(args.config)

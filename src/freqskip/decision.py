@@ -241,8 +241,6 @@ def _best_split(
     best: tuple[float, int, float] | None = None
     for f in features:
         values = np.unique(xs[:, f])
-        if values.size < 2:
-            continue
         for lo, hi in zip(values[:-1], values[1:]):
             thr = (lo + hi) / 2.0
             mask = xs[:, f] <= thr
@@ -305,11 +303,10 @@ def train_forest(x, y, classes: tuple[str, ...], cfg: ForestConfig = ForestConfi
     for t in range(cfg.n_trees):
         rng = np.random.default_rng((cfg.seed, t))
         idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        if n_feat >= d:
-            pick = np.arange
-        else:
-            def pick(dim: int, rng=rng, k=n_feat) -> np.ndarray:
-                return np.sort(rng.choice(dim, size=min(k, dim), replace=False))
+
+        def pick(dim: int, rng=rng, k=n_feat) -> np.ndarray:
+            return np.sort(rng.choice(dim, size=min(k, dim), replace=False))
+
         trees.append(_grow(xs[idx], y_idx[idx], len(classes), cfg.max_depth, cfg.min_leaf, pick))
     return TrainedModel(
         kind="forest",

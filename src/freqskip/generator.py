@@ -243,10 +243,7 @@ def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> StepRecord:
         raise ValueError(f"step {k} out of range 1..{cfg.steps}")
     r = cfg.schedule[k - 1]
     cond = resize_area(target, r, r)
-    if cfg.gap_alpha == 0.0:
-        uncond = cond.copy()
-    else:
-        uncond = cond + _perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, k, r)
+    uncond = cond + _perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, k, r)
     # uncond + g * (cond - uncond) in one fresh buffer; the sum is commutative,
     # so adding uncond last gives the same bits
     combined = cond - uncond

@@ -52,12 +52,11 @@ def _simulate(trace: StepTrace, ladder: Iterable[Strategy]) -> dict[str, float]:
     baseline, whose SSIM moments are filtered once, and the replaced-branch
     output; each output is scored, keeping only its mean, before the next
     step is read.  Strategies emitting the same image (equal ``output_key``)
-    share its score; the baseline against itself is exactly 1.
+    share its score; the baseline against itself is exactly 1.  The ladder
+    is one ``label_sample`` has checked against the decision window, so
+    every rung fits the run.
     """
     steps = trace.config.steps
-    ladder = list(ladder)
-    for strategy in ladder:
-        strategy.validate_for(steps)
     keys = {s.ident: output_key(s, steps) for s in ladder}
     # the baseline's key sorts first: the last stop step, branch not replaced
     order = sorted(set(keys.values()) | {output_key(Strategy.none(), steps)}, key=lambda key: (-key[0], key[1]))
@@ -75,18 +74,6 @@ def _step_outputs(trace: StepTrace, keys: list[tuple[int, bool]]) -> list[np.nda
     outputs = [decode_final(trace, *key) for key in keys]
     trace.release(keys[0][0])
     return outputs
-
-
-def strategy_fidelity(target: np.ndarray, cfg: TraceConfig, ladder: Iterable[Strategy]) -> dict[str, float]:
-    """SSIM of each ladder strategy's output against the baseline output.
-
-    Each strategy is checked only to fit the K-step run
-    (``Strategy.validate_for``), not the decision window
-    (``PipelineConfig.check_rung``): no decision step is taken here.
-    ``label_sample``, ``run_accelerated`` and ``freqskip run`` apply the
-    window.
-    """
-    return _simulate(StepTrace(target, cfg), ladder)
 
 
 def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) -> str:
@@ -168,21 +155,14 @@ def build_dataset(
     cfg: TraceConfig,
     pcfg: "PipelineConfig",
     tau: float,
-    features_path: str | os.PathLike | None = None,
-    labels_path: str | os.PathLike | None = None,
     ids: list[str] | None = None,
     jobs: int = 1,
 ) -> list[LabeledSample]:
-    """Label every spec in order on ``jobs`` processes; optionally emit the
-    feature/label CSVs."""
+    """Label every spec in order on ``jobs`` processes."""
     ids = sample_ids(specs, ids)
     samples = _map_jobs(partial(_label_spec, cfg=cfg, pcfg=pcfg, tau=tau), list(zip(ids, specs)), jobs)
     if len({s.label for s in samples}) < 2:
         warnings.warn("corpus produced fewer than 2 distinct labels; classifiers need label diversity")
-    if features_path is not None:
-        write_features_csv(samples, features_path)
-    if labels_path is not None:
-        write_labels_csv(samples, labels_path)
     return samples
 
 

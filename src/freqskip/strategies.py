@@ -212,5 +212,5 @@ def apply_strategy(
     ``pipeline.run_accelerated``, ``labeling.label_sample`` and ``freqskip
     run`` apply the window.
     """
-    cost = CostModel(weights=cfg.cost_weights, overhead=0.0).strategy_cost(strategy)
+    cost = CostModel(weights=cfg.cost_weights).strategy_cost(strategy)
     return decode_final(StepTrace(target, cfg), *output_key(strategy, cfg.steps)), cost

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from freqskip.cli import RunConfig, main
+from freqskip.cli import RunConfig, _build_parser, main
 from freqskip.decision import Standardizer, TrainedModel, save_model
 from freqskip.image import load_image, save_image
 from freqskip.strategies import Strategy, apply_strategy
@@ -107,8 +108,30 @@ class TestExitCodes:
             '{"gap_alpha": Infinity}',
             '{"seed": -1}',
             '{"split_seed": -1}',
+            '{"seed": ',
+            "[1, 2]",
+            '{"corpus_kind": "bogus"}',
+            '{"corpus_size": 0}',
+            '{"tau": 0}',
+            '{"tau_sensitivity": 1.5}',
+            '{"model_kind": "svm"}',
+            '{"train_ratio": 1}',
         ],
-        ids=["gap_gamma", "guidance_nan", "gap_alpha_inf", "seed_negative", "split_seed_negative"],
+        ids=[
+            "gap_gamma",
+            "guidance_nan",
+            "gap_alpha_inf",
+            "seed_negative",
+            "split_seed_negative",
+            "malformed_json",
+            "not_an_object",
+            "corpus_kind",
+            "corpus_size_zero",
+            "tau_zero",
+            "tau_sensitivity",
+            "model_kind",
+            "train_ratio_one",
+        ],
     )
     def test_invalid_config_value_is_2(self, tmp_path, body):
         # json reads NaN and Infinity; no run can use them
@@ -232,6 +255,62 @@ class TestExitCodes:
         target = str(workspace / "corpus" / "s0000.f32")
         assert run_cli("run", "--model", str(bad), "--target", target, "-o", str(tmp_path / "o")) == 3
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "header, stem",
+        [
+            (b"P5\n# no newline", "unterminated comment"),
+            (b"P5\n4 4", "truncated header"),
+            (b"P5\n4 x 255\n", "non-numeric header field"),
+            (b"P6\n0 4 255\n", "invalid dimensions"),
+            (b"SKVR1 2 2", "missing raw-float header line"),
+            (b"SKVR1 2\n", "malformed raw-float header"),
+            (b"SKVR1 2 y\n", "non-numeric raw-float dimensions"),
+            (b"SKVR1 0 2\n", "invalid dimensions"),
+            (b"SKVR1 1 1\n" + bytes(5), "1 trailing bytes"),
+        ],
+        ids=[
+            "pnm_comment",
+            "pnm_truncated",
+            "pnm_non_numeric",
+            "pnm_zero",
+            "raw_no_header",
+            "raw_header",
+            "raw_non_numeric",
+            "raw_zero",
+            "raw_trailing",
+        ],
+    )
+    def test_malformed_target_file_is_3(self, tmp_path, capsys, header, stem):
+        target = tmp_path / "target.img"
+        target.write_bytes(header)
+        argv = ["run", "--force-strategy", "skip_3", "--target", str(target), "-o", str(tmp_path / "run")]
+        assert run_cli(*argv) == 3
+        assert f"data error: {target}: {stem}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, stem",
+        [
+            ("labels", lambda lines: [ln.rsplit(",", 1)[0] for ln in lines], "missing label column"),
+            ("labels", lambda lines: [ln.replace("s0000", "x0000") for ln in lines], "sample ids"),
+            ("labels", lambda lines: [ln.replace("s0002,", "s0002,9") for ln in lines], "sample 's0002'"),
+            ("features", lambda lines: ["id,a,b", *lines[1:]], "unexpected CSV header"),
+            ("labels", lambda lines: [ln.replace("s0001,", "s0001,,") for ln in lines], "malformed row"),
+        ],
+        ids=["no_label_column", "other_ids", "other_features", "bad_header", "malformed_row"],
+    )
+    def test_train_csv_fault_is_3(self, workspace, tmp_path, capsys, name, edit, stem):
+        # other_features: labels from another labeling run (another hf_rho,
+        # say) keep the ids but not the features
+        paths = {key: workspace / "labels" / f"{key}.csv" for key in ("features", "labels")}
+        lines = paths[name].read_text().splitlines()
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("".join(f"{line}\n" for line in edit(lines)))
+        argv = ["train", "--features", str(paths["features"]), "--labels", str(paths["labels"])]
+        assert run_cli(*argv, "-o", str(tmp_path / "m")) == 3
+        assert stem in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_jobs_below_one_is_2(self, workspace, tmp_path):
         for jobs in ("0", "-1"):
@@ -492,7 +571,38 @@ class TestEvaluateCommand:
         assert sorted(sensitive + robust) == ids
 
 
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "-c", "--seed", "--tau", "--corpus-size", "--corpus-kind", "--model-kind", "--out", "-o"
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    # every command records the whole config, so the overrides are common;
+    # only the commands that run a pool take --jobs
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {s for a in p._actions for s in a.option_strings} for name, p in commands.choices.items()}
+    assert options == {
+        "corpus": COMMON_OPTIONS | {"--jobs"},
+        "label": COMMON_OPTIONS | {"--jobs", "--corpus"},
+        "train": COMMON_OPTIONS | {"--features", "--labels"},
+        "run": COMMON_OPTIONS | {"--model", "--target", "--force-strategy"},
+        "evaluate": COMMON_OPTIONS | {"--jobs", "--model", "--corpus", "--split-sensitivity"},
+    }
+
+
 class TestJobsFlag:
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_command_without_a_pool_rejects_jobs(self, workspace, tmp_path, command):
+        labels = workspace / "labels"
+        inputs = {
+            "train": ["--features", str(labels / "features.csv"), "--labels", str(labels / "labels.csv")],
+            "run": ["--force-strategy", "skip_3", "--target", str(workspace / "corpus" / "s0000.f32")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *inputs, "--jobs", "2", "-o", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_corpus_matches_serial(self, workspace, tmp_path):
         # every pooled stage: corpus, label, and evaluate with the sensitivity split
         model = str(workspace / "model" / "model.json")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqskip import decision
 from freqskip.decision import (
     FeatureVector,
     ForestConfig,
@@ -149,6 +150,18 @@ class TestLogReg:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_logreg(np.zeros((5, 2)), ["none"] * 5, CLASSES2)
+
+    def test_tolerance_stops_descent(self, monkeypatch):
+        # on random labels the gradient falls below LOGREG_GRAD_TOL after a
+        # few hundred epochs, so more epochs must change nothing
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 2))
+        y = list(rng.choice(CLASSES4, size=200))
+        stopped = train_logreg(x, y, CLASSES4)
+        monkeypatch.setattr(decision, "LOGREG_MAX_EPOCHS", 10 * decision.LOGREG_MAX_EPOCHS)
+        longer = train_logreg(x, y, CLASSES4)
+        assert np.array_equal(stopped.weights, longer.weights)
+        assert np.array_equal(stopped.biases, longer.biases)
 
     def test_deterministic(self):
         x, y = make_separable_set()
@@ -407,6 +420,9 @@ class TestSerialization:
             lambda b: b["params"]["tree"]["feature"].__setitem__(0, 2),
             lambda b: b["params"]["tree"]["leaf_class"].__setitem__(-1, 4),
             lambda b: b["params"]["tree"]["leaf_class"].__setitem__(-1, 1.0),
+            lambda b: b["params"].update(tree={key: [] for key in b["params"]["tree"]}),
+            lambda b: b.pop("version"),
+            lambda b: b.update(kind="svm"),
         ],
         ids=[
             "no_classes",
@@ -419,6 +435,9 @@ class TestSerialization:
             "feature_out_of_range",
             "leaf_class_out_of_range",
             "leaf_class_float",
+            "no_nodes",
+            "no_version",
+            "unknown_kind",
         ],
     )
     def test_malformed_tree_model_rejected(self, tmp_path, rng, corrupt):

@@ -20,7 +20,8 @@ from freqskip.labeling import (
     ordered_ladder_ids,
     read_feature_csv,
     split_by_probe,
-    strategy_fidelity,
+    write_features_csv,
+    write_labels_csv,
 )
 
 REACHABLE_CLASSES = ("skip_3", "skip_2", "uncond_3")
@@ -76,7 +77,7 @@ class TestLabelSample:
 
     def test_fidelity_shared_between_equivalent_strategies(self):
         target = synth_target(TargetSpec(seed=5, blobs=2, noise_amp=0.2, noise_scale=0.7), 256)
-        ssims = strategy_fidelity(target, FROZEN_TRACE, FROZEN_PIPELINE.ladder)
+        ssims = label_sample(target, FROZEN_TRACE, FROZEN_PIPELINE, 0.84).ssims
         # all uncond variants emit the same final image in this generator
         assert ssims["uncond_1"] == ssims["uncond_2"] == ssims["uncond_3"]
 
@@ -98,7 +99,6 @@ class TestOnePassLabeling:
             assert sample.features == decision_features(
                 target, FROZEN_TRACE, pcfg.decision_step, pcfg.analysis_size, pcfg.hf
             )
-            assert strategy_fidelity(target, FROZEN_TRACE, pcfg.ladder) == sample.ssims
 
     def test_each_step_built_once(self, frozen_targets, step_builds):
         built = step_builds
@@ -146,7 +146,9 @@ class TestBuildDataset:
     def test_csv_outputs(self, tmp_path):
         specs = default_corpus(6, seed=3)
         fpath, lpath = tmp_path / "features.csv", tmp_path / "labels.csv"
-        samples = build_dataset(specs, FROZEN_TRACE, FROZEN_PIPELINE, 0.84, fpath, lpath)
+        samples = build_dataset(specs, FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
+        write_features_csv(samples, fpath)
+        write_labels_csv(samples, lpath)
         assert len(samples) == 6
         flines = fpath.read_text().splitlines()
         llines = lpath.read_text().splitlines()
@@ -161,7 +163,9 @@ class TestBuildDataset:
         specs = default_corpus(4, seed=5)
         paths = [(tmp_path / f"f{i}.csv", tmp_path / f"l{i}.csv") for i in (1, 2)]
         for fpath, lpath in paths:
-            build_dataset(specs, FROZEN_TRACE, FROZEN_PIPELINE, 0.84, fpath, lpath)
+            samples = build_dataset(specs, FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
+            write_features_csv(samples, fpath)
+            write_labels_csv(samples, lpath)
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 

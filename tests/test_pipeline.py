@@ -12,7 +12,7 @@ from freqskip.corpus import default_corpus, family_a, family_b
 from freqskip.decision import Standardizer, TrainedModel, predict
 from freqskip.features import decision_features
 from freqskip.generator import StepTrace, TargetSpec, TraceConfig, synth_target
-from freqskip.labeling import SENSITIVITY_PROBE, assign_label, label_sample, ordered_ladder_ids, strategy_fidelity
+from freqskip.labeling import SENSITIVITY_PROBE, assign_label, label_sample, ordered_ladder_ids
 from freqskip.metrics import ssim, ssim_hf
 from freqskip.pipeline import (
     PipelineConfig,
@@ -128,6 +128,11 @@ class TestRunAccelerated:
         out_direct, _ = apply_strategy(target, FROZEN_TRACE, Strategy.skip(3))
         assert np.array_equal(out_forced, out_direct)
         assert report.strategy == "skip_3"
+
+    def test_needs_model_or_forced_strategy(self):
+        target = synth_target(TargetSpec(seed=4, blobs=3), 256)
+        with pytest.raises(ValueError, match="decision model or a forced strategy"):
+            run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None)
 
     def test_cost_audit_exact(self):
         target = synth_target(TargetSpec(seed=6, blobs=2), 256)
@@ -275,10 +280,12 @@ class TestEvaluate:
         # mini_model picks skip_3 (the probe's own image) on some samples; the
         # constant uncond_3 model never does, so each probe is scored apart
         specs = default_corpus(4, seed=5)
-        expect = [
-            strategy_fidelity(synth_target(spec, 256), FROZEN_TRACE, (SENSITIVITY_PROBE,))["skip_3"]
-            for spec in specs
-        ]
+        expect = []
+        for spec in specs:
+            target = synth_target(spec, 256)
+            baseline, _ = apply_strategy(target, FROZEN_TRACE, Strategy.none())
+            probe, _ = apply_strategy(target, FROZEN_TRACE, SENSITIVITY_PROBE)
+            expect.append(ssim(baseline, probe))
         for model in (mini_model, constant_model("uncond_3")):
             result = evaluate(specs, FROZEN_TRACE, FROZEN_PIPELINE, model)
             assert result.probe_ssims == expect

@@ -37,3 +37,19 @@ def test_workflow_at_two_jobs_matches_one_job(tmp_path):
         trees[jobs] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
     assert len(trees[1]) > 16
     assert trees[2] == trees[1]
+
+
+def test_untested_lines_lists_what_the_tests_never_ran():
+    env = dict(os.environ, PYTHONPATH="src")
+    script = os.path.join("scripts", "untested_lines.py")
+    argv = [sys.executable, script, "-q", "-p", "no:cacheprovider", os.path.join("tests", "test_strategies.py")]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    listed = [line for line in lines if line.startswith("src/freqskip/")]
+    assert lines[-1] == f"{len(listed)} statements never ran"
+    # these tests never import the command line, but they import and call
+    # the cost model
+    assert any(line.startswith("src/freqskip/cli.py:") and "def main(" in line for line in listed)
+    strategies = [line for line in listed if line.startswith("src/freqskip/strategies.py:")]
+    assert not any("def speedup(" in line or "frac = cm.strategy_cost(" in line for line in strategies)
