@@ -6,7 +6,9 @@ Times each layer named by ROADMAP aim 1 (``synth_target``, ``resize_area``,
 ``hf_diff``/``hf_ratio``, ``ssim_map``, ``hf_mean`` (the SSIM-HF mask and
 mean over one SSIM map), ``decision_features``, ``predict``,
 ``label_sample``, ``run_accelerated``), and ``gaussian_filter`` at SSIM's
-radius 5 and at ``synth_target``'s widest noise octave (radius 29), as a
+radius 5 (fresh buffers, and written into the thread's workspace and a kept
+output, as the SSIM does) and at ``synth_target``'s widest noise octave
+(radius 29), as a
 ``perf_counter`` mean over ``--calls`` calls, after one warm-up call, with
 one BLAS thread.  The target is sample 0 of the frozen corpus
 (``default_corpus(200, seed)``).
@@ -84,9 +86,11 @@ def layers(seed: int) -> list[tuple[str, object]]:
     smap = ssim_map(target, up9)
     feats = decision_features(target, cfg, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
     n = pcfg.analysis_size
+    kept = np.empty_like(target)
     return [
         ("synth_target 256", lambda: synth_target(spec, cfg.full_size)),
         ("gaussian_filter 256 r=5", lambda: gaussian_filter(target, 1.5, 5)),
+        ("gaussian_filter 256 r=5 kept", lambda: gaussian_filter(target, 1.5, 5, out=kept, work=image.thread_workspace())),
         ("gaussian_filter 256 r=29", lambda: gaussian_filter(target, 9.6, 29)),
         ("resize_area 256->224", lambda: resize_area(target, 224, 224)),
         ("resize_area 256->160", lambda: resize_area(target, 160, 160)),

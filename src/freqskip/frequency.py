@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import require_gray, resize_area
+from .image import require_gray, resize_area, thread_workspace
 
 
 # added to the spectral magnitude sum, so the ratio is finite on all-zero images
@@ -50,28 +50,34 @@ def sobel_magnitude(img: np.ndarray) -> np.ndarray:
     """Per-pixel gradient magnitude from 3x3 Sobel kernels.
 
     Uses replicate border padding; the output is not clamped and may
-    exceed 1.
+    exceed 1.  The padded copy and the differences live in the thread's
+    ``image.Workspace`` (its ``pad``, ``rows``, ``mu`` and ``sq`` buffers);
+    the returned map is a fresh array.
     """
     arr = require_gray(img)
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"sobel_magnitude needs at least a 3x3 image, got {arr.shape}")
-    # replicate border of width 1, filled by slice copies: rows first, then
-    # the two columns, which carries the corners along
+    # replicate border of width 1 in the thread's ``pad`` buffer, filled by
+    # slice copies: rows first, then the two columns, which carries the
+    # corners along
     h, w = arr.shape
-    p = np.empty((h + 2, w + 2))
+    work = thread_workspace()
+    p = work.get("pad", (h + 2, w + 2))
     p[1:-1, 1:-1] = arr
     p[0, 1:-1] = arr[0]
     p[-1, 1:-1] = arr[-1]
     p[:, 0] = p[:, 1]
     p[:, -1] = p[:, -2]
-    # one horizontal and one vertical difference of the padded image; each
-    # kernel row (column) is a slice of it, summed in the order of
-    # (top + 2*middle) + bottom, so the bits match the three-term expression
-    d = p[:, 2:] - p[:, :-2]
-    gx = d[:-2] + 2.0 * d[1:-1]
+    # one horizontal and one vertical difference of the padded image, each in
+    # the ``rows`` buffer; each kernel row (column) is a slice of it, summed
+    # in the order of (top + 2*middle) + bottom, so the bits match the
+    # three-term expression.  Only gx, the result, is a fresh array.
+    d = np.subtract(p[:, 2:], p[:, :-2], out=work.get("rows", (h + 2, w)))
+    gx = d[:-2] + np.multiply(d[1:-1], 2.0, out=work.get("mu", (h, w)))
     gx += d[2:]
-    e = p[2:] - p[:-2]
-    gy = e[:, :-2] + 2.0 * e[:, 1:-1]
+    e = np.subtract(p[2:], p[:-2], out=work.get("rows", (h, w + 2)))
+    middle = np.multiply(e[:, 1:-1], 2.0, out=work.get("mu", (h, w)))
+    gy = np.add(e[:, :-2], middle, out=work.get("sq", (h, w)))
     gy += e[:, 2:]
     gx *= gx
     gy *= gy

@@ -24,6 +24,19 @@ that :func:`gaussian_filter`, the one filter behind SSIM's window and the
 generator's noise octaves, multiplies its blocks by.  A band is
 64 x (64 + 2*radius) float64 values: ~37 KB at SSIM's radius 5, ~0.26 MB
 for SSIM plus the five noise octaves of the default corpus.
+
+The per-sample scoring kernels (the SSIM filters, the Sobel stencil and the
+SSIM-HF cutoff) write their intermediates into a :class:`Workspace`, one per
+thread (:func:`thread_workspace`), which the thread keeps for its lifetime.
+It holds one flat float64 buffer per role, grown to the largest size asked
+for and viewed at the shape each call needs, so a kernel in steady state
+takes no fresh pages.  The roles are ``pad`` (a filter's padded input),
+``rows`` (its row pass) and ``mu``, ``sq`` and ``cov`` (SSIM's per-image
+moments); see :mod:`freqskip.metrics`.  At 256 x 256 with SSIM's radius 5
+they take ~2.6 MB.  A kernel holds a role only while it runs, never across
+a ``yield`` or a call to another kernel that uses the same role, and every
+array a kernel hands back is fresh, never a workspace view.  The
+generator's noise octaves do not use the workspace.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -199,7 +213,54 @@ def _gaussian_band(sigma: float, radius: int) -> np.ndarray:
     return band
 
 
-def gaussian_filter(img: np.ndarray, sigma: float, radius: int) -> np.ndarray:
+class Workspace:
+    """Scratch buffers for the scoring kernels: one flat float64 buffer per
+    role, grown to the largest size asked for.  Not thread-safe; each
+    thread uses its own (:func:`thread_workspace`)."""
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The role's buffer viewed at ``shape``, C-contiguous, contents
+        undefined.  A later call for the same role may return the same
+        memory, so a view is valid only until then."""
+        n = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < n:
+            flat = self._flat[role] = np.empty(n)
+        return flat[:n].reshape(shape)
+
+
+_THREAD = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's :class:`Workspace`, made on its first call and
+    kept for the life of the thread."""
+    work = getattr(_THREAD, "work", None)
+    if work is None:
+        work = _THREAD.work = Workspace()
+    return work
+
+
+def _reflect_pad(img: np.ndarray, radius: int, p: np.ndarray) -> np.ndarray:
+    """``np.pad(img, radius, mode="reflect")`` written into ``p`` by slice
+    copies, for a radius below both sides: the rows first, then the columns
+    over the full padded height, which carries the corners along."""
+    h, w = img.shape
+    r = radius
+    p[r : r + h, r : r + w] = img
+    p[:r, r : r + w] = img[1 : r + 1][::-1]
+    p[r + h :, r : r + w] = img[h - 1 - r : h - 1][::-1]
+    p[:, :r] = p[:, r + 1 : 2 * r + 1][:, ::-1]
+    p[:, r + w :] = p[:, w - 1 : w - 1 + r][:, ::-1]
+    return p
+
+
+def gaussian_filter(
+    img: np.ndarray, sigma: float, radius: int, out: np.ndarray | None = None, work: Workspace | None = None
+) -> np.ndarray:
     """Separable Gaussian smoothing on a reflect-padded copy; same shape out.
 
     Filters rows, then columns, each in blocks of up to 64 outputs: one
@@ -207,19 +268,43 @@ def gaussian_filter(img: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     (sigma, radius), so a block costs one small BLAS product whatever the
     radius.  For a given shape BLAS sums each dot product in the same
     order, so repeated calls are bit-identical, whatever the input's memory
-    layout.
+    layout, and whether or not ``out`` and ``work`` are given.
+
+    The result is written into ``out`` when given (a C-contiguous
+    ``img``-shaped float64 array, which may be ``img`` itself) and into a
+    fresh array otherwise.  Without ``work`` (the generator's noise
+    octaves) the padded copy, the row pass and each block product are fresh
+    arrays.  With it the first two are ``work``'s ``pad`` and
+    ``rows`` buffers: the pad is filled by slice copies (by ``np.pad`` when
+    the radius is at least a side) and every block product is written in
+    place, so the call takes no fresh pages.
     """
     band = _gaussian_band(sigma, radius)
     h, w = img.shape
-    p = np.pad(img, radius, mode="reflect")
-    horiz = np.empty((h + 2 * radius, w))
+    hp, wp = h + 2 * radius, w + 2 * radius
+    if out is None:
+        out = np.empty((h, w))
+    if work is None:
+        p = np.pad(img, radius, mode="reflect")
+        horiz = np.empty((hp, w))
+        for x in range(0, w, _BAND):
+            n = min(_BAND, w - x)
+            horiz[:, x : x + n] = p[:, x : x + n + 2 * radius] @ band[:n, : n + 2 * radius].T
+        for y in range(0, h, _BAND):
+            n = min(_BAND, h - y)
+            out[y : y + n] = band[:n, : n + 2 * radius] @ horiz[y : y + n + 2 * radius]
+        return out
+    if radius < min(h, w):
+        p = _reflect_pad(img, radius, work.get("pad", (hp, wp)))
+    else:
+        p = np.pad(img, radius, mode="reflect")
+    horiz = work.get("rows", (hp, w))
     for x in range(0, w, _BAND):
         n = min(_BAND, w - x)
-        horiz[:, x : x + n] = p[:, x : x + n + 2 * radius] @ band[:n, : n + 2 * radius].T
-    out = np.empty((h, w))
+        np.matmul(p[:, x : x + n + 2 * radius], band[:n, : n + 2 * radius].T, out=horiz[:, x : x + n])
     for y in range(0, h, _BAND):
         n = min(_BAND, h - y)
-        out[y : y + n] = band[:n, : n + 2 * radius] @ horiz[y : y + n + 2 * radius]
+        np.matmul(band[:n, : n + 2 * radius], horiz[y : y + n + 2 * radius], out=out[y : y + n])
     return out
 
 

@@ -15,6 +15,18 @@ it goes through ``np.unique``, whose first call in a process imports
 Callers that need both scores build one map and take ``np.mean`` and
 :func:`hf_mean` of it; callers that score several images against one
 reference use :func:`ssim_maps`, which filters the reference's moments once.
+
+Scoring takes no fresh pages in steady state: every intermediate of the SSIM
+filters, moments and formula, of the Sobel map's differences and of the
+cutoff's partition lives in the calling thread's ``image.Workspace``, which
+the thread keeps for its lifetime.  Its roles are the filter's ``pad`` and
+``rows`` buffers (the latter also holds the products between filter calls
+and the SSIM numerator) and ``mu``, ``sq`` and ``cov``, one image's filtered
+moments; at 256 x 256 the five take ~2.6 MB per thread.  Callers always get
+fresh arrays: each yielded SSIM map, each Sobel map, and the reference's
+moments that :func:`ssim_maps` holds between yields.  No workspace buffer is
+held across a ``yield``, so interleaved generators and concurrent threads
+get the bits of serial calls.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .frequency import sobel_magnitude
-from .image import gaussian_filter, require_gray
+from .image import gaussian_filter, require_gray, thread_workspace
 
 
 @dataclass(frozen=True)
@@ -58,21 +70,52 @@ def _check_like(b: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _moments(x: np.ndarray, params: SsimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-filtered local mean and variance of one image."""
+    """Gaussian-filtered local mean and variance of one image, as fresh
+    arrays; the square goes through the thread's ``sq`` buffer."""
     sigma, radius = params.sigma, params.window // 2
-    mu = gaussian_filter(x, sigma, radius)
-    return mu, gaussian_filter(x * x, sigma, radius) - mu * mu
+    work = thread_workspace()
+    mu = gaussian_filter(x, sigma, radius, work=work)
+    sq = np.multiply(x, x, out=work.get("sq", x.shape))
+    var = gaussian_filter(sq, sigma, radius, work=work)
+    var -= np.multiply(mu, mu, out=sq)
+    return mu, var
 
 
 def _ssim_against(a: np.ndarray, mu_a: np.ndarray, var_a: np.ndarray, b: np.ndarray, params: SsimParams) -> np.ndarray:
-    # a function of its own, so the temporaries of one map are freed before
-    # the caller asks for the next
-    mu_b, var_b = _moments(b, params)
-    cov = gaussian_filter(a * b, params.sigma, params.window // 2) - mu_a * mu_b
+    """SSIM map of ``b`` against the reference ``a``, as a fresh array.
+
+    Every intermediate lives in the thread's workspace: ``b``'s moments in
+    ``mu``, ``sq`` and ``cov``, and the products between filter calls, then
+    the numerator, in the filter's ``rows`` buffer, which is free once a
+    filter call returns.  The operations are those of
+    ``(2 mu_a mu_b + c1)(2 cov + c2) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2))``
+    in their left-to-right order, so the bits equal the out-of-place form.
+    """
+    sigma, radius = params.sigma, params.window // 2
+    work = thread_workspace()
+    shape = a.shape
+    mu_b = gaussian_filter(b, sigma, radius, out=work.get("mu", shape), work=work)
+    var_b = np.multiply(b, b, out=work.get("sq", shape))
+    gaussian_filter(var_b, sigma, radius, out=var_b, work=work)
+    tmp = work.get("rows", shape)
+    var_b -= np.multiply(mu_b, mu_b, out=tmp)
+    cov = np.multiply(a, b, out=work.get("cov", shape))
+    gaussian_filter(cov, sigma, radius, out=cov, work=work)
+    cov -= np.multiply(mu_a, mu_b, out=tmp)
     c1 = params.k1**2  # dynamic range 1
     c2 = params.k2**2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    num = np.multiply(mu_a, 2.0, out=tmp)
+    num *= mu_b
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = np.multiply(mu_a, mu_a, out=cov)
+    den += np.multiply(mu_b, mu_b, out=mu_b)
+    den += c1
+    var_b += var_a
+    var_b += c2
+    den *= var_b
     return num / den
 
 
@@ -120,7 +163,10 @@ def _hf_cutoff(sob: np.ndarray) -> float:
     pos = (n - 1) * HF_MASK_QUANTILE
     lo = math.floor(pos)
     hi = min(lo + 1, n - 1)
-    part = np.partition(sob, (lo, hi, n - 1), axis=None)
+    # np.partition(axis=None) would partition a fresh flattened copy
+    part = thread_workspace().get("cov", (n,))
+    part[:] = sob.reshape(-1)
+    part.partition((lo, hi, n - 1))
     if math.isnan(part[-1]):
         return math.nan
     a, b, t = float(part[lo]), float(part[hi]), pos - lo

@@ -200,7 +200,9 @@ class TestBitPins:
             for rho in (0.25, FROZEN_PIPELINE.hf.rho):
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
 
-    @pytest.mark.parametrize("shape", [(7, 12), (12, 7), (127, 128), (128, 127), (3, 3), (33, 20)])
+    @pytest.mark.parametrize(
+        "shape", [(7, 12), (12, 7), (127, 128), (128, 127), (3, 3), (33, 20), (63, 64), (65, 129), (129, 65)]
+    )
     def test_odd_and_non_square_shapes(self, rng, shape):
         for _ in range(3):
             img = rng.random(shape)
@@ -209,6 +211,15 @@ class TestBitPins:
                 # the first call builds the (h, w, rho) mask, the second reads it
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+
+    def test_sobel_map_survives_later_calls(self, rng):
+        # the differences live in the thread's workspace; the map is fresh
+        img = rng.random((64, 65))
+        first = sobel_magnitude(img)
+        kept = first.copy()
+        for shape in ((64, 65), (130, 20), (3, 3)):
+            sobel_magnitude(rng.random(shape))
+        assert np.array_equal(first, kept) and np.array_equal(first, sobel_inline(img))
 
     def test_mask_is_read_only_and_built_once(self):
         mask = frequency._hf_mask(128, 128, 0.4)

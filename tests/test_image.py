@@ -1,22 +1,27 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from freqskip.generator import DEFAULT_SCHEDULE
+from conftest import FROZEN_TRACE
+from freqskip.generator import DEFAULT_SCHEDULE, StepTrace
 from freqskip.image import (
     ImageFormatError,
+    Workspace,
     _area_block,
     gaussian_filter,
     load_image,
     resize_area,
     resize_bilinear,
     save_image,
+    thread_workspace,
     to_grayscale,
 )
 
-from oracles import area_resize_naive, bilinear_resize_naive, gaussian_filter_naive
+from oracles import area_resize_naive, bilinear_resize_naive, gaussian_filter_inline, gaussian_filter_naive
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, width=64)
 
@@ -236,6 +241,88 @@ class TestGaussianFilter:
         expected = gaussian_filter(img, sigma, radius)
         for arr in layouts:
             assert np.array_equal(gaussian_filter(arr, sigma, radius), expected)
+
+
+def every_filter_form(img, sigma, radius):
+    """gaussian_filter's result with and without ``out=``, each with no
+    workspace, a new one and the thread's, in that order."""
+    results = []
+    for work in (None, Workspace(), thread_workspace()):
+        results.append(gaussian_filter(img, sigma, radius, work=work))
+        out = np.full(img.shape, np.nan)
+        assert gaussian_filter(img, sigma, radius, out=out, work=work) is out
+        results.append(out)
+    return results
+
+
+class TestGaussianFilterBitPins:
+    """Every form of gaussian_filter equals the np.pad-and-assign form kept in
+    ``gaussian_filter_inline`` bit for bit; the oracle tests' tolerance
+    cannot see a trailing-bit move."""
+
+    @pytest.mark.parametrize("sigma, radius", TestGaussianFilter.PINNED)
+    @pytest.mark.parametrize("shape", [(7, 12), (12, 7), (63, 64), (65, 63), (64, 129), (129, 65)])
+    def test_odd_and_non_square_shapes(self, rng, sigma, radius, shape):
+        # radii 8, 15 and 29 reach past the 7- and 12-pixel sides, where the
+        # workspace pad falls back to np.pad
+        img = rng.random(shape)
+        expected = gaussian_filter_inline(img, sigma, radius)
+        for result in every_filter_form(img, sigma, radius):
+            assert np.array_equal(result, expected)
+
+    @pytest.mark.parametrize("shape, radius", [((6, 9), 5), ((9, 6), 5), ((5, 9), 5), ((9, 5), 5), ((1, 9), 0), ((1, 1), 3)])
+    def test_radius_at_and_past_the_side(self, rng, shape, radius):
+        img = rng.random(shape)
+        expected = gaussian_filter_inline(img, 1.5, radius)
+        for result in every_filter_form(img, 1.5, radius):
+            assert np.array_equal(result, expected)
+
+    def test_frozen_finals(self, frozen_targets):
+        for target in frozen_targets[:4]:
+            final = StepTrace(target, FROZEN_TRACE).final
+            for sigma, radius in ((1.5, 5), (9.6, 29)):
+                expected = gaussian_filter_inline(final, sigma, radius)
+                for result in every_filter_form(final, sigma, radius):
+                    assert np.array_equal(result, expected)
+
+    def test_out_may_be_the_input(self, rng):
+        img = rng.random((65, 63))
+        expected = gaussian_filter_inline(img, 1.5, 5)
+        for work in (None, Workspace()):
+            same = img.copy()
+            assert gaussian_filter(same, 1.5, 5, out=same, work=work) is same
+            assert np.array_equal(same, expected)
+
+    def test_fresh_output_survives_later_calls(self, rng):
+        work = Workspace()
+        a = rng.random((64, 64))
+        first = gaussian_filter(a, 1.5, 5, work=work)
+        kept = first.copy()
+        gaussian_filter(rng.random((129, 65)), 1.5, 5, work=work)
+        gaussian_filter(rng.random((64, 64)), 9.6, 29, work=work)
+        assert np.array_equal(first, kept)
+
+
+class TestWorkspace:
+    def test_a_role_grows_to_the_largest_size_and_is_reused(self):
+        work = Workspace()
+        small = work.get("pad", (4, 5))
+        assert small.shape == (4, 5) and small.flags.c_contiguous and small.dtype == np.float64
+        assert np.shares_memory(work.get("pad", (5, 4)), small)
+        big = work.get("pad", (9, 9))
+        assert not np.shares_memory(big, small)
+        assert np.shares_memory(work.get("pad", (4, 5)), big)
+        assert not np.shares_memory(work.get("rows", (4, 5)), big)
+
+    def test_one_per_thread_kept_for_its_life(self):
+        mine = thread_workspace()
+        assert thread_workspace() is mine
+        seen = []
+        worker = threading.Thread(target=lambda: seen.extend([thread_workspace(), thread_workspace()]))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen[0] is seen[1] and seen[0] is not mine
 
 
 class TestRawFloatFormat:

@@ -1,5 +1,8 @@
 import collections
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,41 @@ class TestOnePassLabeling:
         label_sample(frozen_targets[0], FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
         # baseline and uncond_n at 12, skip_1/2/3 at 11/10/9, features at 9 and 8
         assert sorted(built) == [8, 9, 10, 11, 12]
+
+
+# In a fresh interpreter: warm label_sample up on 3 frozen targets, then
+# print the mean minor page faults of the next 10 labels, or "unsupported"
+# where ru_minflt does not count.
+FAULT_SCRIPT = """
+import resource
+from freqskip.corpus import default_corpus
+from freqskip.frequency import HFParams
+from freqskip.generator import TraceConfig, synth_target
+from freqskip.labeling import label_sample
+from freqskip.pipeline import PipelineConfig
+cfg, pcfg = TraceConfig(seed=0), PipelineConfig(hf=HFParams(rho=0.4))
+targets = [synth_target(spec, cfg.full_size) for spec in default_corpus(13, seed=0)]
+for target in targets[:3]:
+    label_sample(target, cfg, pcfg, 0.84)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for target in targets[3:]:
+    label_sample(target, cfg, pcfg, 0.84)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print("unsupported" if after == 0 else (after - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are read from Linux getrusage")
+def test_label_sample_scores_without_fresh_pages():
+    # the SSIM filters, moments and formula write into the thread's kept
+    # workspace; before it, a label took ~1,300-1,700 faults of fresh pages
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "unsupported":
+        pytest.skip("ru_minflt reads 0 on this system")
+    assert float(proc.stdout) <= 700
 
 
 class TestLabelMonotonicity:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import FROZEN_TRACE
 from freqskip.frequency import sobel_magnitude
-from freqskip.generator import StepTrace, synth_target
+from freqskip.generator import StepTrace, decode_final, synth_target
 from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, _hf_cutoff, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 
-from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_naive
+from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_inline, ssim_map_naive
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, width=64)
 
@@ -190,6 +193,91 @@ class TestHfCutoff:
             cutoff = np.quantile(sob, HF_MASK_QUANTILE)
             assert _hf_cutoff(sob) == cutoff
             assert hf_mean(values, final) == float(np.mean(values[sob >= cutoff]))
+
+
+class TestSsimBitPins:
+    """The in-place SSIM equals the out-of-place expression kept in
+    ``ssim_map_inline`` bit for bit."""
+
+    def test_frozen_outputs_against_their_finals(self, frozen_targets):
+        for target in frozen_targets[:6]:
+            trace = StepTrace(target, FROZEN_TRACE)
+            final = trace.final
+            outputs = [decode_final(trace, 9), decode_final(trace, 11), decode_final(trace, 12, True)]
+            for out, smap in zip(outputs, ssim_maps(final, outputs)):
+                assert np.array_equal(smap, ssim_map_inline(final, out))
+
+    @pytest.mark.parametrize("shape", [(63, 64), (64, 65), (65, 63), (129, 64), (11, 129), (129, 129)])
+    def test_odd_and_non_square_shapes(self, rng, shape):
+        a = rng.random(shape)
+        for b in (rng.random(shape), np.clip(a + 0.05 * rng.standard_normal(shape), 0.0, 1.0)):
+            assert np.array_equal(ssim_map(a, b), ssim_map_inline(a, b))
+
+
+class TestWorkspaceSafety:
+    """The scoring kernels share one workspace per thread, and every array
+    they return is fresh."""
+
+    def test_returned_arrays_survive_later_calls(self, rng):
+        a, b = rng.random((64, 64)), rng.random((64, 64))
+        smap = ssim_map(a, b)
+        kept_map = smap.copy()
+        sob = sobel_magnitude(a)
+        kept_sob = sob.copy()
+        for _ in range(2):
+            other = rng.random((64, 64))
+            ssim_map(other, b)
+            sobel_magnitude(other)
+            _hf_cutoff(sob)
+            hf_mean(smap, other)
+        ssim_map(rng.random((129, 65)), rng.random((129, 65)))
+        assert np.array_equal(smap, kept_map) and np.array_equal(smap, ssim_map_inline(a, b))
+        assert np.array_equal(sob, kept_sob)
+
+    def test_interleaved_generators_yield_the_serial_maps(self, rng):
+        refs = [rng.random((64, 64)), rng.random((65, 63))]
+        images = [[rng.random(r.shape) for _ in range(3)] for r in refs]
+        # copied as yielded, so each is the map as it was handed back
+        serial = [[m.copy() for m in ssim_maps(r, imgs)] for r, imgs in zip(refs, images)]
+        held = []
+        for first, second in zip(ssim_maps(refs[0], images[0]), ssim_maps(refs[1], images[1])):
+            held += [first, second]
+        assert len(held) == 6
+        assert all(np.array_equal(m, s) for m, s in zip(held, [m for pair in zip(*serial) for m in pair]))
+        assert np.array_equal(held[0], ssim_map_inline(refs[0], images[0][0]))
+
+    def test_threads_at_once_get_the_single_thread_bits(self, rng):
+        # more threads than the 2 cores this suite is timed on
+        refs = [rng.random((96, 96)), rng.random((80, 112)), rng.random((64, 65))]
+        images = [[rng.random(r.shape) for _ in range(3)] for r in refs]
+
+        def score(k):
+            maps = list(ssim_maps(refs[k], images[k]))
+            return [m.tobytes() for m in maps] + [hf_mean(m, refs[k]) for m in maps]
+
+        expected = [score(k) for k in range(len(refs))]
+        results = [[] for _ in refs]
+        start = threading.Barrier(len(refs))
+
+        def worker(k):
+            start.wait()
+            for _ in range(15):
+                results[k].append(score(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(refs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(refs)):
+            assert len(results[k]) == 15
+            assert all(r == expected[k] for r in results[k])
 
 
 class TestL1Mean:
