@@ -210,15 +210,11 @@ def synth_target(spec: TargetSpec, size: int) -> np.ndarray:
 
 
 def _box3(x: np.ndarray) -> np.ndarray:
-    # the nine shifted slices summed left to right into one fresh buffer,
-    # then divided in place
-    h, w = x.shape
     p = np.pad(x, 1, mode="edge")
-    acc = p[:-2, :-2] + p[:-2, 1:-1]
-    for dy, dx in ((0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
-        acc += p[dy : dy + h, dx : dx + w]
-    acc /= 9.0
-    return acc
+    acc = p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
+    acc = acc + p[1:-1, :-2] + p[1:-1, 1:-1] + p[1:-1, 2:]
+    acc = acc + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
+    return acc / 9.0
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,7 +36,8 @@ moments); see :mod:`freqskip.metrics`.  At 256 x 256 with SSIM's radius 5
 they take ~2.6 MB.  A kernel holds a role only while it runs, never across
 a ``yield`` or a call to another kernel that uses the same role, and every
 array a kernel hands back is fresh, never a workspace view.  The
-generator's noise octaves do not use the workspace.
+generator's noise octaves do not use the thread's workspace: each of their
+filter calls makes its own, freed when the call returns.
 """
 
 from __future__ import annotations
@@ -272,28 +273,19 @@ def gaussian_filter(
 
     The result is written into ``out`` when given (a C-contiguous
     ``img``-shaped float64 array, which may be ``img`` itself) and into a
-    fresh array otherwise.  Without ``work`` (the generator's noise
-    octaves) the padded copy, the row pass and each block product are fresh
-    arrays.  With it the first two are ``work``'s ``pad`` and
-    ``rows`` buffers: the pad is filled by slice copies (by ``np.pad`` when
-    the radius is at least a side) and every block product is written in
-    place, so the call takes no fresh pages.
+    fresh array otherwise.  The padded copy and the row pass are ``work``'s
+    ``pad`` and ``rows`` buffers: the pad is filled by slice copies (by
+    ``np.pad`` when the radius is at least a side) and every block product
+    is written in place.  With a kept workspace (the scoring kernels') the
+    call takes no fresh pages; without one (the generator's noise octaves)
+    it makes a fresh :class:`Workspace`, freed when the call returns.
     """
+    work = work if work is not None else Workspace()
     band = _gaussian_band(sigma, radius)
     h, w = img.shape
     hp, wp = h + 2 * radius, w + 2 * radius
     if out is None:
         out = np.empty((h, w))
-    if work is None:
-        p = np.pad(img, radius, mode="reflect")
-        horiz = np.empty((hp, w))
-        for x in range(0, w, _BAND):
-            n = min(_BAND, w - x)
-            horiz[:, x : x + n] = p[:, x : x + n + 2 * radius] @ band[:n, : n + 2 * radius].T
-        for y in range(0, h, _BAND):
-            n = min(_BAND, h - y)
-            out[y : y + n] = band[:n, : n + 2 * radius] @ horiz[y : y + n + 2 * radius]
-        return out
     if radius < min(h, w):
         p = _reflect_pad(img, radius, work.get("pad", (hp, wp)))
     else:

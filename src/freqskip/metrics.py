@@ -101,6 +101,8 @@ def _ssim_against(a: np.ndarray, mu_a: np.ndarray, var_a: np.ndarray, b: np.ndar
     var_b -= np.multiply(mu_b, mu_b, out=tmp)
     cov = np.multiply(a, b, out=work.get("cov", shape))
     gaussian_filter(cov, sigma, radius, out=cov, work=work)
+    # the filter call above used ``rows``, so take it again
+    tmp = work.get("rows", shape)
     cov -= np.multiply(mu_a, mu_b, out=tmp)
     c1 = params.k1**2  # dynamic range 1
     c2 = params.k2**2

@@ -213,21 +213,6 @@ class TestStepTrace:
                 assert np.array_equal(a, b)
 
 
-def box3_inline(x):
-    """The nine-slice box sum as three out-of-place rows, kept to pin _box3's bits."""
-    p = np.pad(x, 1, mode="edge")
-    acc = p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
-    acc = acc + p[1:-1, :-2] + p[1:-1, 1:-1] + p[1:-1, 2:]
-    acc = acc + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
-    return acc / 9.0
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (7, 12), (12, 7), (8, 8), (63, 64), (129, 65), (256, 256)])
-def test_box3_equals_inline_sum(shape):
-    noise = np.random.default_rng(shape).standard_normal(shape)
-    assert np.array_equal(generator._box3(noise), box3_inline(noise))
-
-
 class TestProcessConstants:
     """The step perturbation, the area-resize period block, the Gaussian
     filter band, the spectral-ratio mask and the bilinear tables are built
