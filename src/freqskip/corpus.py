@@ -46,9 +46,8 @@ def sample_ids(specs: list[TargetSpec], ids: list[str] | None) -> list[str]:
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``jobs`` worker processes
-    (never more than ``os.cpu_count()``); results keep the item order."""
-    jobs = min(jobs, os.cpu_count() or 1)
+    """``[fn(item) for item in items]``, in order, on min(``jobs``, CPU count, item count) processes."""
+    jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
     with multiprocessing.Pool(jobs) as pool:

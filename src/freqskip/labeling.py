@@ -2,7 +2,8 @@
 
 Each sample is labeled with the most aggressive ladder strategy whose output
 keeps SSIM (the one ``metrics.SsimParams()``) against the non-accelerated
-baseline at or above a threshold tau.
+baseline at or above a threshold tau, scored by the one scorer that
+evaluation shares, ``strategies.score_outputs``.
 'none' always qualifies (its SSIM is exactly 1), so every sample gets a
 label.  A corpus splits into frequency-sensitive and frequency-robust
 halves by :func:`split_by_probe` of each sample's SSIM under the most
@@ -14,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 import os
 import warnings
 
@@ -25,9 +24,8 @@ import numpy as np
 from .corpus import _map_jobs, sample_ids
 from .decision import FeatureVector
 from .features import step_features
-from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
-from .metrics import ssim_maps
-from .strategies import Strategy, ladder_order, output_key
+from .generator import StepTrace, TargetSpec, TraceConfig, synth_target
+from .strategies import Strategy, ladder_order, output_key, score_outputs
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -42,38 +40,6 @@ class LabeledSample:
     features: FeatureVector
     label: str
     ssims: dict[str, float]
-
-
-def _simulate(trace: StepTrace, ladder: Iterable[Strategy]) -> dict[str, float]:
-    """SSIM of each ladder strategy's output against the baseline output.
-
-    Outputs are emitted from the last step down, and each step is released
-    from the trace once its outputs are emitted.  The last step gives the
-    baseline, whose SSIM moments are filtered once, and the replaced-branch
-    output; each output is scored, keeping only its mean, before the next
-    step is read.  Strategies emitting the same image (equal ``output_key``)
-    share its score; the baseline against itself is exactly 1.  The ladder
-    is one ``label_sample`` has checked against the decision window, so
-    every rung fits the run.
-    """
-    steps = trace.config.steps
-    keys = {s.ident: output_key(s, steps) for s in ladder}
-    # the baseline's key sorts first: the last stop step, branch not replaced
-    order = sorted(set(keys.values()) | {output_key(Strategy.none(), steps)}, key=lambda key: (-key[0], key[1]))
-    images = (img for _, group in groupby(order, key=itemgetter(0)) for img in _step_outputs(trace, list(group)))
-    baseline = next(images)
-    # map() drops each SSIM map before the next is built
-    scores = [1.0] + [float(v) for v in map(np.mean, ssim_maps(baseline, images))]
-    by_key = dict(zip(order, scores))
-    return {ident: by_key[key] for ident, key in keys.items()}
-
-
-def _step_outputs(trace: StepTrace, keys: list[tuple[int, bool]]) -> list[np.ndarray]:
-    """The images emitted under ``keys``, which share one stop step; the step
-    is released before they are scored."""
-    outputs = [decode_final(trace, *key) for key in keys]
-    trace.release(keys[0][0])
-    return outputs
 
 
 def assign_label(ssims: dict[str, float], ordered_ids: list[str], tau: float) -> str:
@@ -102,12 +68,18 @@ def label_sample(
     The config is checked as the run loop checks it, so no label names a
     rung the run loop would reject.  The features and the outputs read one
     trace, so each step is built once; the features equal
-    ``features.decision_features`` bit for bit.
+    ``features.decision_features`` bit for bit.  Outputs are scored from the
+    last step down, sharing a score when their ``output_key`` is equal; the
+    baseline against itself is exactly 1.
     """
     pcfg.validate_for(cfg)
     trace = StepTrace(target, cfg)
     feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
-    ssims = _simulate(trace, pcfg.ladder)
+    keys = {s.ident: output_key(s, cfg.steps) for s in pcfg.ladder}
+    baseline = output_key(Strategy.none(), cfg.steps)
+    order = sorted(set(keys.values()) - {baseline}, key=lambda key: (-key[0], key[1]))
+    scores = {baseline: 1.0, **dict(zip(order, map(float, map(np.mean, score_outputs(trace, order)))))}
+    ssims = {ident: scores[key] for ident, key in keys.items()}
     label = assign_label(ssims, ordered_ladder_ids(cfg, pcfg), tau)
     return LabeledSample(sample_id=sample_id, features=feats, label=label, ssims=ssims)
 

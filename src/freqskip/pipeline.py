@@ -10,11 +10,11 @@ Reported cost counts every executed branch pass at its step weight (halved
 steps count once, skipped steps not at all) plus the fixed decision overhead
 ``strategies.DECISION_OVERHEAD`` of the baseline.
 
-:func:`run_accelerated` never scores its output.  :func:`evaluate` is the
-one scorer: per sample it reads the non-accelerated baseline from the same
-trace and takes SSIM and SSIM-HF (the one SSIM, ``metrics.SsimParams()``,
-and the one mask, ``metrics.HF_MASK_QUANTILE``) from one SSIM map of the
-output against it.
+:func:`run_accelerated` never scores its output.  :func:`evaluate` scores
+each sample's output and probe against the baseline of the same trace
+through the one scorer, ``strategies.score_outputs``, which labeling shares;
+SSIM and SSIM-HF (the one SSIM, ``metrics.SsimParams()``, and the one mask,
+``metrics.HF_MASK_QUANTILE``) come from one SSIM map of the output.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .features import step_features
 from .frequency import HFParams, hf_ratio
 from .generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
 from .labeling import SENSITIVITY_PROBE, build_dataset
-from .metrics import SsimParams, hf_mean, ssim_maps
-from .strategies import DECISION_OVERHEAD, DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy, speedup
+from .metrics import SsimParams, hf_mean
+from .strategies import DECISION_OVERHEAD, DEFAULT_LADDER, CostModel, Strategy, output_key, parse_strategy
+from .strategies import score_outputs, speedup
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,16 @@ def run_accelerated(
     force_strategy: Strategy | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """One adaptive generation run; returns the output image and its report."""
-    return _run(StepTrace(target, cfg), pcfg, model, force_strategy)
+    trace = StepTrace(target, cfg)
+    strategy, report = _decide(trace, pcfg, model, force_strategy)
+    return decode_final(trace, *output_key(strategy, cfg.steps)), report
 
 
-def _run(
+def _decide(
     trace: StepTrace, pcfg: PipelineConfig, model: TrainedModel | None, force_strategy: Strategy | None = None
-) -> tuple[np.ndarray, RunReport]:
-    """:func:`run_accelerated` reading its steps from ``trace``: the
-    features read the decision step and the one before it, and the output is
-    read from the strategy's stop step."""
+) -> tuple[Strategy, RunReport]:
+    """The strategy and report of :func:`run_accelerated` on ``trace``; the
+    features read the decision step and the one before it, and nothing is decoded."""
     cfg = trace.config
     pcfg.validate_for(cfg)
     if force_strategy is not None:
@@ -133,7 +135,6 @@ def _run(
         _check_model(model, pcfg)
     feats = step_features(trace, pcfg.decision_step, pcfg.analysis_size, pcfg.hf)
     strategy = force_strategy if force_strategy is not None else parse_strategy(predict(model, feats))
-    out = decode_final(trace, *output_key(strategy, cfg.steps))
     cm = pcfg.cost_model(cfg)
     report = RunReport(
         strategy=strategy.ident,
@@ -141,7 +142,7 @@ def _run(
         cost=cm.strategy_cost(strategy) + cm.overhead * cm.baseline_cost,
         speedup=speedup(cm, strategy),
     )
-    return out, report
+    return strategy, report
 
 
 EVAL_CSV_HEADER = "sample_id,strategy,hf_diff,hf_ratio,ssim,ssim_hf,cost,speedup"
@@ -203,17 +204,17 @@ def _evaluate_spec(
     spec: TargetSpec, cfg: TraceConfig, pcfg: PipelineConfig, model: TrainedModel
 ) -> tuple[RunReport, float, float, float]:
     """One sample's report, its SSIM and SSIM-HF against the baseline, and
-    its probe SSIM, all read from one trace and one ``ssim_maps`` pass: the
-    output's map gives both scores, and the probe is decoded and scored
-    only when it emits an image other than the output."""
+    its probe SSIM, all read from one trace and scored through
+    ``strategies.score_outputs``: the output's map gives both of its
+    scores, and the probe shares it when both emit one image."""
     trace = StepTrace(synth_target(spec, cfg.full_size), cfg)
-    out, report = _run(trace, pcfg, model)
-    outputs = [out]
-    probe_key = output_key(SENSITIVITY_PROBE, cfg.steps)
-    if probe_key != output_key(parse_strategy(report.strategy), cfg.steps):
-        outputs.append(decode_final(trace, *probe_key))
-    maps = list(ssim_maps(trace.final, outputs))
-    return report, float(np.mean(maps[0])), hf_mean(maps[0], trace.final), float(np.mean(maps[-1]))
+    strategy, report = _decide(trace, pcfg, model)
+    reference = trace.final
+    maps = score_outputs(trace, (output_key(s, cfg.steps) for s in (strategy, SENSITIVITY_PROBE)))
+    chosen = next(maps)
+    ssim, ssim_hf = float(np.mean(chosen)), hf_mean(chosen, reference)
+    del chosen  # the probe's map, if the probe emits another image, is built with one map alive
+    return report, ssim, ssim_hf, next((float(np.mean(m)) for m in maps), ssim)
 
 
 def evaluate(

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .generator import StepTrace, TraceConfig, decode_final
+from .metrics import ssim_maps
 
 # the family a strategy belongs to, by (skips any step, replaces any branch)
 _KIND_OF = {(False, False): "none", (True, False): "skip", (False, True): "uncond", (True, True): "hybrid"}
@@ -194,6 +196,31 @@ def output_key(strategy: Strategy, steps: int) -> tuple[int, bool]:
     ``generator.decode_final(trace, *key)`` is that image.
     """
     return steps - strategy.skip_n, strategy.uncond_n > 0
+
+
+def score_outputs(trace: StepTrace, keys: Iterable[tuple[int, bool]]) -> Iterator[np.ndarray]:
+    """SSIM map against ``trace.final`` of each distinct output key's image,
+    yielded lazily in the order given from one ``ssim_maps`` pass.
+
+    The reference and its moments are taken on the call, and step K is
+    released then if no key reads it; each other step once its last key is
+    decoded, before that image is scored.  Keys are decoded as their maps
+    are asked for, so a caller that stops early builds no later key's step.
+    """
+    keys = list(dict.fromkeys(keys))
+    last_read = {stop: i for i, (stop, _) in enumerate(keys)}
+    reference = trace.final
+    if trace.config.steps not in last_read:
+        trace.release(trace.config.steps)
+
+    def decoded(i: int) -> np.ndarray:
+        stop, replaced = keys[i]
+        image = decode_final(trace, stop, replaced)
+        if last_read[stop] == i:
+            trace.release(stop)
+        return image
+
+    return ssim_maps(reference, map(decoded, range(len(keys))))
 
 
 def apply_strategy(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,25 @@ def frozen_records(frozen_targets):
         label_sample(target, FROZEN_TRACE, FROZEN_PIPELINE, 0.84, sample_id=f"s{i:04d}")
         for i, target in enumerate(frozen_targets)
     ]
+
+
+# bytes per MiB, the unit of the traced-peak bounds
+MIB = 2**20
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` traces during ``fn()``, above what was
+    traced when it was called."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture()

@@ -648,9 +648,20 @@ class TestJobsFlag:
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0002"])  # two distinct labels
+        # more ids than CPUs, so the CPU count is the cap; s0000 and s0002 give two distinct labels
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0001", "s0002", "s0003"])
         assert run_cli("label", "--corpus", str(corpus), "--jobs", "100000", "-o", str(tmp_path / "labels")) == 0
         assert sizes == [3]
+
+    def test_no_pool_for_one_item(self, workspace, tmp_path, monkeypatch):
+        def no_pool(processes):
+            raise AssertionError(f"a {processes}-worker pool was started for one item")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000"])
+        argv = ["evaluate", "--model", str(workspace / "model" / "model.json"), "--corpus", str(corpus)]
+        assert run_cli(*argv, "--jobs", "2", "-o", str(tmp_path / "eval")) == 0
 
 
 class TestColorTargets:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FROZEN_PIPELINE, FROZEN_TAUS, FROZEN_TRACE
+from conftest import FROZEN_PIPELINE, FROZEN_TAUS, FROZEN_TRACE, MIB, traced_peak
 from freqskip.corpus import blob_corpus, default_corpus, default_ids, sample_ids
 from freqskip.features import decision_features
 from freqskip.generator import TargetSpec, synth_target
@@ -143,6 +143,16 @@ def test_label_sample_scores_without_fresh_pages():
     if proc.stdout.strip() == "unsupported":
         pytest.skip("ru_minflt reads 0 on this system")
     assert float(proc.stdout) <= 700
+
+
+def test_label_sample_peak_memory(frozen_targets):
+    # 6.05 MiB was the largest warm peak over these samples before labels
+    # were scored through strategies.score_outputs; without its releases a
+    # label peaks at 7.77 MiB
+    for target in frozen_targets[:2]:
+        label_sample(target, FROZEN_TRACE, FROZEN_PIPELINE, 0.84)
+    for target in frozen_targets[4:12]:
+        assert traced_peak(lambda: label_sample(target, FROZEN_TRACE, FROZEN_PIPELINE, 0.84)) <= 6.06 * MIB
 
 
 class TestLabelMonotonicity:

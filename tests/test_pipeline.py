@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FROZEN_PIPELINE, FROZEN_TRACE
-from freqskip import metrics, pipeline
+from conftest import FROZEN_PIPELINE, FROZEN_TRACE, MIB, traced_peak
+from freqskip import metrics, strategies
 from freqskip.corpus import default_corpus, family_a, family_b
 from freqskip.decision import Standardizer, TrainedModel, predict
 from freqskip.features import decision_features
@@ -16,6 +16,7 @@ from freqskip.labeling import SENSITIVITY_PROBE, assign_label, label_sample, ord
 from freqskip.metrics import ssim, ssim_hf
 from freqskip.pipeline import (
     PipelineConfig,
+    _evaluate_spec,
     evaluate,
     feature_reliability,
     generalization_check,
@@ -185,7 +186,8 @@ class TestRunAccelerated:
 
     def test_baseline_scores_come_from_one_map(self, frozen_corpus, frozen_targets, monkeypatch):
         # the chosen output's map gives SSIM and SSIM-HF; the probe, when it
-        # is another image (uncond_3, none), is scored in the same pass
+        # is another image (uncond_3, none), is scored in the same pass of
+        # the one scorer, strategies.score_outputs
         calls = []
         original = metrics.ssim_maps
 
@@ -194,7 +196,7 @@ class TestRunAccelerated:
             return original(reference, images, params)
 
         monkeypatch.setattr(metrics, "ssim_maps", counted)
-        monkeypatch.setattr(pipeline, "ssim_maps", counted)
+        monkeypatch.setattr(strategies, "ssim_maps", counted)
         for spec, target in zip(frozen_corpus[:3], frozen_targets[:3]):
             baseline, _ = apply_strategy(target, FROZEN_TRACE, Strategy.none())
             for ident in ("skip_3", "uncond_3", "none"):
@@ -223,6 +225,23 @@ class TestStepBuilds:
         # the probe (skip_3) and the baseline (step 12) come from the same trace
         evaluate(default_corpus(1, seed=0), FROZEN_TRACE, FROZEN_PIPELINE, constant_model(ident))
         assert sorted(step_builds) == [8, 9, 12]
+
+
+# Largest warm peak of one sample's evaluation over frozen samples 4-11, in
+# MiB, by chosen strategy, measured before it was scored through
+# strategies.score_outputs.  Without the scorer's releases each bound is
+# exceeded: skip_3 and none peak at 5.65 MiB, skip_2 at 7.00, uncond_3 at 6.15.
+EVALUATE_PEAK_MIB = {"skip_3": 4.97, "skip_2": 6.82, "uncond_3": 5.97, "none": 5.47}
+
+
+@pytest.mark.parametrize("ident", sorted(EVALUATE_PEAK_MIB))
+def test_evaluate_spec_peak_memory(frozen_corpus, ident):
+    model = constant_model(ident)
+    for spec in frozen_corpus[:2]:
+        _evaluate_spec(spec, FROZEN_TRACE, FROZEN_PIPELINE, model)
+    for spec in frozen_corpus[4:12]:
+        peak = traced_peak(lambda: _evaluate_spec(spec, FROZEN_TRACE, FROZEN_PIPELINE, model))
+        assert peak <= EVALUATE_PEAK_MIB[ident] * MIB
 
 
 class TestAreaResizes:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_TRACE
-from freqskip.generator import StepTrace, TargetSpec, TraceConfig, synth_target
-from freqskip.metrics import ssim
+from freqskip.generator import StepTrace, TargetSpec, TraceConfig, decode_final, synth_target
+from freqskip.metrics import ssim, ssim_map
 from freqskip.strategies import (
     DEFAULT_LADDER,
     CostModel,
@@ -17,6 +17,7 @@ from freqskip.strategies import (
     ladder_order,
     output_key,
     parse_strategy,
+    score_outputs,
     speedup,
 )
 
@@ -307,3 +308,32 @@ class TestOutputKey:
             for outs in images.values():
                 assert all(np.array_equal(out, outs[0]) for out in outs[1:])
             assert len({outs[0].tobytes() for outs in images.values()}) == len(groups)
+
+
+class TestScoreOutputs:
+    def test_stopping_after_the_first_map_builds_no_later_step(self, frozen_targets, step_builds):
+        maps = score_outputs(StepTrace(frozen_targets[0], FROZEN_TRACE), [(9, False), (10, False)])
+        assert step_builds == [12]  # the reference
+        next(maps)
+        assert step_builds == [12, 9]
+
+    def test_each_map_is_the_ssim_map_of_its_decoded_key(self, frozen_targets):
+        # repeated keys are scored once, in the order of their first mention
+        keys = [(12, True), (11, False), (12, True), (9, False), (12, False), (11, True), (9, False)]
+        distinct = [(12, True), (11, False), (9, False), (12, False), (11, True)]
+        for target in frozen_targets[:3]:
+            maps = list(score_outputs(StepTrace(target, FROZEN_TRACE), keys))
+            oracle = StepTrace(target, FROZEN_TRACE)
+            assert len(maps) == len(distinct)
+            for key, smap in zip(distinct, maps):
+                assert np.array_equal(smap, ssim_map(oracle.final, decode_final(oracle, *key)))
+
+    def test_steps_are_released_after_their_last_key(self, frozen_targets, step_builds):
+        trace = StepTrace(frozen_targets[0], FROZEN_TRACE)
+        for _ in score_outputs(trace, [(11, False), (11, True), (9, False)]):
+            pass
+        # step 12 gives the reference only; step 11 serves both of its keys
+        assert step_builds == [12, 11, 9]
+        for k in (11, 9, 12):
+            trace.step(k)
+        assert step_builds == [12, 11, 9, 11, 9, 12]
