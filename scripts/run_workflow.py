@@ -5,9 +5,10 @@ Materializes the corpus, labels it, trains a model, runs one sample, and
 evaluates the whole corpus.  Everything lands under the output directory;
 re-running with the same arguments reproduces every file byte for byte.
 After each stage it prints the stage's wall time and the peak resident set
-size so far of this process and of its largest finished child (the
-``--jobs`` pool workers), then the total wall time.  ``--jobs N`` is passed
-to ``corpus``, ``label`` and ``evaluate``; every file is the same at any N.
+size so far of this process (not of its ``--jobs`` pool workers, which live
+until it exits), then the total wall time.  ``--jobs N`` is passed to
+``corpus``, ``label`` and ``evaluate``, which share one pool of warm
+workers; every file is the same at any N.
 
 Usage: PYTHONPATH=src python scripts/run_workflow.py OUT_DIR [--corpus-size N] [--tau T] [--jobs N]
 """
@@ -19,10 +20,6 @@ import time
 from pathlib import Path
 
 from freqskip.cli import main as cli
-
-
-def _peak_rss_mb(who: int) -> float:
-    return resource.getrusage(who).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def run(args):
@@ -75,10 +72,8 @@ def run(args):
         code = cli(step)
         wall = time.perf_counter() - start
         total += wall
-        print(
-            f"  {step[0]}: {wall:.2f} s wall, peak RSS {_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB"
-            f" (children {_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB)"
-        )
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+        print(f"  {step[0]}: {wall:.2f} s wall, peak RSS {peak_rss_mb:.1f} MB")
         if code != 0:
             return code
     print(f"workflow: {total:.2f} s wall")

@@ -16,6 +16,7 @@ the other.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 
@@ -45,13 +46,46 @@ def sample_ids(specs: list[TargetSpec], ids: list[str] | None) -> list[str]:
     return list(ids)
 
 
+# (worker count, pool) of the process's kept pool, or None before its first pooled call
+_kept_pool = None
+
+
+def _drop_kept_pool() -> None:
+    """Terminate the kept pool, if any; the next pooled call starts a new one."""
+    global _kept_pool
+    if _kept_pool is not None:
+        pool = _kept_pool[1]
+        _kept_pool = None
+        pool.terminate()
+        pool.join()
+
+
+atexit.register(_drop_kept_pool)
+
+
 def _map_jobs(fn, items: list, jobs: int) -> list:
-    """``[fn(item) for item in items]``, in order, on min(``jobs``, CPU count, item count) processes."""
+    """``[fn(item) for item in items]``, in order, on min(``jobs``, CPU count, item count) processes.
+
+    One worker runs in this process.  More run in the process's kept pool,
+    forked on the first call that needs workers and reused by every later
+    call that needs as many; a call that needs another count replaces it.
+    Workers therefore see this process as it was when they were forked (cwd,
+    environment, module attributes).  A map that raises terminates the pool,
+    and so does interpreter exit.
+    """
+    global _kept_pool
     jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items)
+    if _kept_pool is not None and _kept_pool[0] != jobs:
+        _drop_kept_pool()
+    if _kept_pool is None:
+        _kept_pool = (jobs, multiprocessing.Pool(jobs))
+    try:
+        return _kept_pool[1].map(fn, items)
+    except BaseException:
+        _drop_kept_pool()
+        raise
 
 
 def default_corpus(n: int = 200, seed: int = 0) -> list[TargetSpec]:

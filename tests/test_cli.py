@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from freqskip.cli import RunConfig, _build_parser, main
+from freqskip.corpus import _map_jobs
 from freqskip.decision import Standardizer, TrainedModel, save_model
 from freqskip.image import load_image, save_image
 from freqskip.strategies import Strategy, apply_strategy
@@ -337,6 +338,13 @@ class TestExitCodes:
             run_cli("evaluate", "--model", model, "--corpus", str(corpus), "--jobs", "2", "-o", str(tmp_path / "ev"))
             == 3
         )
+        # the failed maps leave no broken pool behind: the next pooled call
+        # writes what a serial one does
+        good = small_corpus(workspace, tmp_path / "good", ["s0000", "s0001"])
+        for jobs in ("2", "1"):
+            argv = ["evaluate", "--model", model, "--corpus", str(good), "--jobs", jobs]
+            assert run_cli(*argv, "-o", str(tmp_path / f"good{jobs}")) == 0
+        assert tree_digest(tmp_path / "good2") == tree_digest(tmp_path / "good1")
 
     def test_out_of_range_target_is_3(self, workspace, tmp_path):
         img = load_image(workspace / "corpus" / "s0000.f32")
@@ -637,15 +645,12 @@ class TestJobsFlag:
             def __init__(self, processes):
                 sizes.append(processes)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
+        # an empty kept-pool slot, restored after the test: the fake is
+        # started here and never outlives the test
+        monkeypatch.setattr("freqskip.corpus._kept_pool", None)
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # more ids than CPUs, so the CPU count is the cap; s0000 and s0002 give two distinct labels
@@ -657,11 +662,26 @@ class TestJobsFlag:
         def no_pool(processes):
             raise AssertionError(f"a {processes}-worker pool was started for one item")
 
+        monkeypatch.setattr("freqskip.corpus._kept_pool", None)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000"])
         argv = ["evaluate", "--model", str(workspace / "model" / "model.json"), "--corpus", str(corpus)]
         assert run_cli(*argv, "--jobs", "2", "-o", str(tmp_path / "eval")) == 0
+
+    def test_pooled_calls_reuse_the_workers(self, monkeypatch):
+        # the process keeps one pool, so a later call runs on the workers
+        # (and their warm memos) of the first instead of forking new ones
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        first = set(_map_jobs(worker_pid, list(range(8)), 2))
+        workers = {p.pid for p in multiprocessing.active_children()}
+        second = set(_map_jobs(worker_pid, list(range(8)), 2))
+        assert first and os.getpid() not in first
+        assert first | second <= workers
+
+
+def worker_pid(_item):
+    return os.getpid()
 
 
 class TestColorTargets:
