@@ -204,6 +204,9 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
 
     Each id names one file in the directory, so an id that is empty, ``.``,
     ``..`` or holds a path separator is rejected, and so is a repeated id.
+    Ids are also fields of ASCII CSV files and entries of whitespace-separated
+    lists, so one that holds a comma, whitespace, a control character or a
+    non-ASCII character (JSON's ``\\u`` escapes) is rejected too.
     """
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
@@ -220,6 +223,8 @@ def _read_corpus(corpus_dir: str) -> tuple[list[str], list[TargetSpec]]:
     for sid in ids:
         if sid in ("", ".", "..") or "/" in sid or os.sep in sid:
             raise ImageFormatError(f"{manifest_path}: sample id {sid!r} is not a file name in the corpus")
+        if "," in sid or " " in sid or not (sid.isascii() and sid.isprintable()):
+            raise ImageFormatError(f"{manifest_path}: sample id {sid!r} is not printable ASCII without comma or space")
         if sid in seen:
             raise ImageFormatError(f"{manifest_path}: sample id {sid!r} appears more than once")
         seen.add(sid)

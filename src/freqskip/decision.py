@@ -18,9 +18,10 @@ written, so with the default ladder a tie between ``skip_1`` and
 speedup.
 
 Models serialize to a versioned JSON file; a round-trip preserves all
-predictions bit-exactly.  Loading checks every field's type, every tree's
-shape, that a forest has a tree, and that a two-stage model's stages answer
-only with the model's own classes, so a malformed file raises
+predictions bit-exactly.  Loading checks every field's type, that every
+weight, bias, mean, std and threshold is finite and every std positive,
+every tree's shape, that a forest has a tree, and that a two-stage model's
+stages answer only with the model's own classes, so a malformed file raises
 :class:`ModelFormatError`, and tree walks always end: each internal node's
 children are later nodes.
 """
@@ -430,6 +431,14 @@ def _field(obj: object, key: str, hint):
     return value
 
 
+def _finite(key: str, values: list) -> list:
+    """``values`` if every number in it is finite: JSON loads NaN and
+    Infinity as floats."""
+    if not all(math.isfinite(v) for v in values):
+        raise ModelFormatError(f"model field {key!r} holds a non-finite number")
+    return values
+
+
 def _same_length(what: str, *arrays: list) -> int:
     if len({len(a) for a in arrays}) != 1:
         raise ModelFormatError(f"{what} arrays differ in length")
@@ -437,7 +446,10 @@ def _same_length(what: str, *arrays: list) -> int:
 
 
 def _std_from_json(obj: dict) -> Standardizer:
-    means, stds = _field(obj, "means", tuple[float, ...]), _field(obj, "stds", tuple[float, ...])
+    means = _finite("means", _field(obj, "means", tuple[float, ...]))
+    stds = _finite("stds", _field(obj, "stds", tuple[float, ...]))
+    if not all(v > 0.0 for v in stds):
+        raise ModelFormatError("model field 'stds' holds a std that is not positive")
     zero_variance = _field(obj, "zero_variance", tuple[bool, ...])
     _same_length("standardizer", means, stds, zero_variance)
     return Standardizer(means=tuple(means), stds=tuple(stds), zero_variance=tuple(zero_variance))
@@ -451,6 +463,7 @@ def _tree_from_json(obj: dict, n_classes: int, n_features: int) -> TreeNodes:
         key: _field(obj, key, tuple[float, ...] if key == "threshold" else tuple[int, ...])
         for key in ("feature", "threshold", "left", "right", "leaf_class")
     }
+    _finite("threshold", arrays["threshold"])
     n = _same_length("tree", *arrays.values())
     if n == 0:
         raise ModelFormatError("tree has no nodes")
@@ -499,7 +512,9 @@ def _model_from_json(obj: dict) -> TrainedModel:
     params = _field(obj, "params", dict)
     if kind == "logreg":
         weights = _field(params, "weights", tuple[tuple[float, ...], ...])
-        biases = _field(params, "biases", tuple[float, ...])
+        for row in weights:
+            _finite("weights", row)
+        biases = _finite("biases", _field(params, "biases", tuple[float, ...]))
         _same_length("logreg class", classes, weights, biases)
         _same_length("logreg feature", std.means, *weights)
         return TrainedModel(

@@ -25,17 +25,17 @@ generator's noise octaves, multiplies its blocks by.  A band is
 64 x (64 + 2*radius) float64 values: ~37 KB at SSIM's radius 5, ~0.26 MB
 for SSIM plus the five noise octaves of the default corpus.
 
-The per-sample scoring kernels (the SSIM filters, the Sobel stencil and the
-SSIM-HF cutoff) write their intermediates into a :class:`Workspace`, one per
-thread (:func:`thread_workspace`), which the thread keeps for its lifetime.
-It holds one flat float64 buffer per role, grown to the largest size asked
-for and viewed at the shape each call needs, so a kernel in steady state
-takes no fresh pages.  The roles are ``pad`` (a filter's padded input),
-``rows`` (its row pass) and ``mu``, ``sq`` and ``cov`` (SSIM's per-image
-moments); see :mod:`freqskip.metrics`.  At 256 x 256 with SSIM's radius 5
-they take ~2.6 MB.  A kernel holds a role only while it runs, never across
-a ``yield`` or a call to another kernel that uses the same role, and every
-array a kernel hands back is fresh, never a workspace view.  The
+The per-sample scoring kernels (the SSIM filters and the Sobel stencil)
+write their intermediates into a :class:`Workspace`, one per thread
+(:func:`thread_workspace`), which the thread keeps for its lifetime.  It
+holds one flat float64 buffer per role, grown to the largest size asked for
+and viewed at the shape each call needs, so a kernel in steady state takes
+no fresh pages.  The roles are ``pad`` (a filter's padded input), ``rows``
+(its row pass) and ``mu``, ``sq`` and ``cov``, SSIM's per-image moments,
+which only SSIM uses; see :mod:`freqskip.metrics`.  At 256 x 256 with SSIM's
+radius 5 they take ~2.6 MB.  A kernel holds a role only while it runs, never
+across a ``yield`` or a call to another kernel that uses the same role, and
+every array a kernel hands back is fresh, never a workspace view.  The
 generator's noise octaves do not use the thread's workspace: each of their
 filter calls makes its own, freed when the call returns.
 """

@@ -8,30 +8,27 @@ trained model are defined under that one SSIM.  The high-frequency variant
 averages the SSIM map only over the reference image's strongest Sobel
 responses (at or above their :data:`HF_MASK_QUANTILE`, the top quartile),
 emphasizing fine-detail preservation that the plain mean washes out.  The
-mask's cutoff is numpy's linear quantile, bit for bit, taken from one
-``np.partition`` of the Sobel map.  ``np.quantile`` itself is not called:
-it goes through ``np.unique``, whose first call in a process imports
-``numpy.ma``, a cost every fresh ``--jobs`` worker would pay again.
+mask's cutoff is ``np.quantile`` of the Sobel map, numpy's linear quantile.
 Callers that need both scores build one map and take ``np.mean`` and
 :func:`hf_mean` of it; callers that score several images against one
 reference use :func:`ssim_maps`, which filters the reference's moments once.
 
-Scoring takes no fresh pages in steady state: every intermediate of the SSIM
-filters, moments and formula, of the Sobel map's differences and of the
-cutoff's partition lives in the calling thread's ``image.Workspace``, which
-the thread keeps for its lifetime.  Its roles are the filter's ``pad`` and
-``rows`` buffers (the latter also holds the products between filter calls
-and the SSIM numerator) and ``mu``, ``sq`` and ``cov``, one image's filtered
-moments; at 256 x 256 the five take ~2.6 MB per thread.  Callers always get
-fresh arrays: each yielded SSIM map, each Sobel map, and the reference's
-moments that :func:`ssim_maps` holds between yields.  No workspace buffer is
-held across a ``yield``, so interleaved generators and concurrent threads
-get the bits of serial calls.
+Scoring takes no fresh pages in steady state, but for the mask's cutoff:
+every intermediate of the SSIM filters, moments and formula and of the Sobel
+map's differences lives in the calling thread's ``image.Workspace``, which
+the thread keeps for its lifetime, while ``np.quantile`` copies the Sobel
+map.  The workspace's roles are the filter's ``pad`` and ``rows`` buffers
+(the latter also holds the products between filter calls and the SSIM
+numerator) and ``mu``, ``sq`` and ``cov``, one image's filtered moments; at
+256 x 256 the five take ~2.6 MB per thread.  Callers always get fresh
+arrays: each yielded SSIM map, each Sobel map, and the reference's moments
+that :func:`ssim_maps` holds between yields.  No workspace buffer is held
+across a ``yield``, so interleaved generators and concurrent threads get the
+bits of serial calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -155,29 +152,6 @@ def ssim_hf(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> 
     return hf_mean(ssim_map(a, b, params), a)
 
 
-def _hf_cutoff(sob: np.ndarray) -> float:
-    """The :data:`HF_MASK_QUANTILE` quantile of ``sob``, bit for bit
-    ``np.quantile(sob, HF_MASK_QUANTILE)``: one partition at the two order
-    statistics around ``q * (n - 1)`` and at the last index, then numpy's
-    linear interpolation between the two.  The last index holds a NaN if
-    ``sob`` has one, and the cutoff is then NaN, as numpy's is."""
-    n = sob.size
-    pos = (n - 1) * HF_MASK_QUANTILE
-    lo = math.floor(pos)
-    hi = min(lo + 1, n - 1)
-    # np.partition(axis=None) would partition a fresh flattened copy
-    part = thread_workspace().get("cov", (n,))
-    part[:] = sob.reshape(-1)
-    part.partition((lo, hi, n - 1))
-    if math.isnan(part[-1]):
-        return math.nan
-    a, b, t = float(part[lo]), float(part[hi]), pos - lo
-    # the form of numpy's _lerp, which rounds from the nearer end
-    if t < 0.5:
-        return a + (b - a) * t
-    return b - (b - a) * (1 - t)
-
-
 def hf_mean(values: np.ndarray, reference: np.ndarray) -> float:
     """Mean of a per-pixel map over the reference image's high-frequency pixels.
 
@@ -192,7 +166,7 @@ def hf_mean(values: np.ndarray, reference: np.ndarray) -> float:
     if values.shape != ref.shape:
         raise ValueError(f"values of shape {values.shape} do not match the reference's shape {ref.shape}")
     sob = sobel_magnitude(ref)
-    mask = sob >= _hf_cutoff(sob)
+    mask = sob >= np.quantile(sob, HF_MASK_QUANTILE)
     if not mask.any():
         return float(np.mean(values))
     return float(np.mean(values[mask]))

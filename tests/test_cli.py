@@ -196,6 +196,22 @@ class TestExitCodes:
         assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(tmp_path / "ev")) == 3
         assert not (tmp_path / "labels").exists() and not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize(
+        "sid",
+        ["a,b", "a b", "a\tb", "a\x01b", "a\x7f", "a\u00e9"],
+        ids=["comma", "space", "tab", "soh", "del", "non_ascii"],
+    )
+    def test_sample_id_that_breaks_a_csv_row_is_3(self, workspace, tmp_path, capsys, sid):
+        # the target exists under that name, so only the id check stops it
+        corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000"])
+        shutil.copy(corpus / "s0000.f32", corpus / f"{sid}.f32")
+        (corpus / "manifest.json").write_text(json.dumps({"ids": ["s0000", sid]}))
+        model = str(workspace / "model" / "model.json")
+        assert run_cli("label", "--corpus", str(corpus), "-o", str(tmp_path / "labels")) == 3
+        assert run_cli("evaluate", "--model", model, "--corpus", str(corpus), "-o", str(tmp_path / "ev")) == 3
+        assert f"sample id {sid!r} is not printable ASCII" in capsys.readouterr().err
+        assert not (tmp_path / "labels").exists() and not (tmp_path / "ev").exists()
+
     def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"seed": 0, "tau": "\xff"}')
@@ -234,6 +250,21 @@ class TestExitCodes:
             run_cli("run", "--model", str(bad), "--target", str(workspace / "corpus" / "s0000.f32"), "-o", str(tmp_path / "o"))
             == 3
         )
+
+    def test_model_with_a_nan_threshold_is_3(self, tmp_path, workspace, capsys):
+        # a NaN threshold sends every comparison right, so without the check
+        # the run would exit 0 with another strategy
+        labels = workspace / "labels"
+        argv = ["train", "--features", str(labels / "features.csv"), "--labels", str(labels / "labels.csv")]
+        assert run_cli(*argv, "--model-kind", "tree", "-o", str(tmp_path / "m")) == 0
+        body = json.loads((tmp_path / "m" / "model.json").read_text())
+        body["params"]["tree"]["threshold"][0] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        target = str(workspace / "corpus" / "s0000.f32")
+        assert run_cli("run", "--model", str(bad), "--target", target, "-o", str(tmp_path / "o")) == 3
+        assert "model field 'threshold' holds a non-finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_model_file_is_3(self, tmp_path, workspace):
         bad = tmp_path / "bad.json"

@@ -473,6 +473,32 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "kind, corrupt, field",
+        [
+            ("logreg", lambda b: b["params"]["weights"][1].__setitem__(0, float("nan")), "weights"),
+            ("logreg", lambda b: b["params"]["biases"].__setitem__(0, float("nan")), "biases"),
+            ("two_stage", lambda b: b["params"]["skip"]["params"]["biases"].__setitem__(0, float("inf")), "biases"),
+            ("logreg", lambda b: b["standardizer"]["means"].__setitem__(1, float("inf")), "means"),
+            ("tree", lambda b: b["standardizer"]["stds"].__setitem__(0, float("-inf")), "stds"),
+            ("tree", lambda b: b["standardizer"]["stds"].__setitem__(1, 0.0), "stds"),
+            ("forest", lambda b: b["standardizer"]["stds"].__setitem__(0, -1.0), "stds"),
+            ("tree", lambda b: b["params"]["tree"]["threshold"].__setitem__(0, float("nan")), "threshold"),
+        ],
+        ids=["weight_nan", "bias_nan", "stage_bias_inf", "mean_inf", "std_inf", "std_zero", "std_negative", "threshold_nan"],
+    )
+    def test_non_finite_or_non_positive_field_rejected(self, tmp_path, rng, kind, corrupt, field):
+        # NaN and Infinity are valid JSON floats to json.load
+        x = np.vstack([rng.normal((0, 0), 0.5, (30, 2)), rng.normal((6, 6), 0.5, (30, 2))])
+        trainer = {"logreg": train_logreg, "tree": train_tree, "forest": train_forest, "two_stage": train_two_stage}
+        path = tmp_path / "model.json"
+        save_model(trainer[kind](x, ["skip_3"] * 30 + ["none"] * 30, CLASSES4), path)
+        body = json.loads(path.read_text())
+        corrupt(body)
+        path.write_text(json.dumps(body))
+        with pytest.raises(ModelFormatError, match=f"'{field}'"):
+            load_model(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import FROZEN_TRACE
 from freqskip.frequency import sobel_magnitude
 from freqskip.generator import StepTrace, decode_final, synth_target
-from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, _hf_cutoff, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
+from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
 
 from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_inline, ssim_map_naive
 
@@ -132,10 +132,8 @@ class TestSsimHf:
 
     def test_quantile_mask_size(self, rng):
         img = rng.random((20, 20))
-        sob = sobel_magnitude(img)
+        sob, cutoff = check_hf_mean(rng.random((20, 20)), img)
         q = HF_MASK_QUANTILE
-        cutoff = _hf_cutoff(sob)
-        assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), q), abs=1e-12)
         n_selected = int((sob >= cutoff).sum())
         ties = int((sob == cutoff).sum())
         target = (1 - q) * sob.size
@@ -152,9 +150,22 @@ class TestSsimHf:
             SsimParams(k1=0.0)
 
 
+def check_hf_mean(values, ref):
+    """Check that ``hf_mean(values, ref)`` is the mean over
+    ``sob >= np.quantile(sob, HF_MASK_QUANTILE)`` (the plain mean when the
+    mask is empty) and that the cutoff agrees with ``quantile_naive``;
+    returns the Sobel map and the cutoff."""
+    sob = sobel_magnitude(ref)
+    cutoff = np.quantile(sob, HF_MASK_QUANTILE)
+    mask = sob >= cutoff
+    assert hf_mean(values, ref) == float(np.mean(values[mask] if mask.any() else values))
+    assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), HF_MASK_QUANTILE), abs=1e-12)
+    return sob, cutoff
+
+
 class TestHfCutoff:
-    """The mask cutoff equals ``np.quantile(sob, HF_MASK_QUANTILE)`` bit for
-    bit; ``quantile_naive`` checks the value it interpolates to."""
+    """``hf_mean`` masks at ``np.quantile(sob, HF_MASK_QUANTILE)``;
+    ``quantile_naive`` checks the value numpy interpolates to."""
 
     @pytest.mark.parametrize(
         "shape, position",
@@ -164,23 +175,18 @@ class TestHfCutoff:
     def test_fractional_positions(self, rng, shape, position):
         assert (shape[0] * shape[1] - 1) * HF_MASK_QUANTILE == position
         for _ in range(20):
-            sob = sobel_magnitude(rng.random(shape))
-            cutoff = _hf_cutoff(sob)
-            assert cutoff == np.quantile(sob, HF_MASK_QUANTILE)
-            assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), HF_MASK_QUANTILE), abs=1e-12)
+            check_hf_mean(rng.random(shape), rng.random(shape))
 
-    def test_tied_maps(self):
+    def test_tied_maps(self, rng):
         two_level = np.zeros((12, 12))
         two_level[:, 6:] = 1.0
         for img in (np.full((12, 12), 0.4), two_level):
-            sob = sobel_magnitude(img)
-            assert _hf_cutoff(sob) == np.quantile(sob, HF_MASK_QUANTILE)
+            check_hf_mean(rng.random((12, 12)), img)
 
     def test_nan_map_gives_nan_and_the_plain_mean(self, rng):
         ref = rng.random((9, 9))
         ref[4, 4] = np.nan
-        sob = sobel_magnitude(ref)
-        assert np.isnan(_hf_cutoff(sob)) and np.isnan(np.quantile(sob, HF_MASK_QUANTILE))
+        assert np.isnan(np.quantile(sobel_magnitude(ref), HF_MASK_QUANTILE))
         values = rng.random((9, 9))
         assert hf_mean(values, ref) == float(np.mean(values))
 
@@ -188,11 +194,7 @@ class TestHfCutoff:
         for spec in frozen_corpus[:8]:
             target = synth_target(spec, FROZEN_TRACE.full_size)
             final = StepTrace(target, FROZEN_TRACE).final
-            values = ssim_map(final, target)
-            sob = sobel_magnitude(final)
-            cutoff = np.quantile(sob, HF_MASK_QUANTILE)
-            assert _hf_cutoff(sob) == cutoff
-            assert hf_mean(values, final) == float(np.mean(values[sob >= cutoff]))
+            check_hf_mean(ssim_map(final, target), final)
 
 
 class TestSsimBitPins:
@@ -228,7 +230,7 @@ class TestWorkspaceSafety:
             other = rng.random((64, 64))
             ssim_map(other, b)
             sobel_magnitude(other)
-            _hf_cutoff(sob)
+            check_hf_mean(smap, a)
             hf_mean(smap, other)
         ssim_map(rng.random((129, 65)), rng.random((129, 65)))
         assert np.array_equal(smap, kept_map) and np.array_equal(smap, ssim_map_inline(a, b))

@@ -336,18 +336,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], FROZEN_TRACE, FROZEN_PIPELINE, mini_model)
 
-    def test_evaluate_leaves_numpy_ma_unimported(self):
-        # every --jobs worker is a fresh fork of a parent that never imports
-        # numpy.ma, so a per-sample call that does (np.quantile, np.unique)
-        # costs each worker the import again on every CLI call
-        proc = run_evaluate_script(
-            "import sys\n"
-            "result = evaluate(default_corpus(2, seed=0), TraceConfig(seed=0), PipelineConfig(), model, jobs=1)\n"
-            "assert len(result.ssim_hfs) == 2\n"
-            "print('numpy.ma' in sys.modules)\n"
-        )
-        assert proc.stdout.strip() == "False"
-
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
     def test_pool_workers_end_with_their_process(self):
         # the kept pool outlives each evaluate call, but not the process
