@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .decision import FeatureVector
-from .frequency import HFParams, hf_diff, hf_ratio, to_analysis
+from .frequency import HFParams, hf_diff, hf_ratio
 from .generator import StepTrace, TraceConfig
+from .image import resize_area
 
 
 def decision_features(
@@ -38,7 +39,8 @@ def step_features(trace: StepTrace, decision_step: int, analysis_size: int, hf_p
     """
     if not 2 <= decision_step <= trace.config.steps:
         raise ValueError(f"decision_step must be in 2..{trace.config.steps}, got {decision_step}")
-    i_n, i_prev = (to_analysis(trace.step(k).combined, analysis_size) for k in (decision_step, decision_step - 1))
+    size = analysis_size
+    i_n, i_prev = (resize_area(trace.step(k).combined, size, size) for k in (decision_step, decision_step - 1))
     feats = FeatureVector(hf_diff=hf_diff(i_n, i_prev, analysis_size), hf_ratio=hf_ratio(i_n, hf_params))
     trace.release(decision_step - 1)
     return feats

@@ -89,24 +89,15 @@ def hf_diff(i_n: np.ndarray, i_prev: np.ndarray, analysis_size: int) -> float:
     """Mean absolute difference of Sobel maps at a common analysis size.
 
     Both images are area-resized to analysis_size x analysis_size first
-    (:func:`to_analysis`; one already that size is used as it is), so the
-    value is comparable across steps with different native resolutions.
-    The mean (not the sum) keeps thresholds independent of the analysis
-    resolution.
+    (one already that size is used as it is), so the value is comparable
+    across steps with different native resolutions.  The mean (not the sum)
+    keeps thresholds independent of the analysis resolution.
     """
     if analysis_size < 3:
         raise ValueError(f"analysis_size must be >= 3, got {analysis_size}")
-    a = to_analysis(require_gray(i_n, "i_n"), analysis_size)
-    b = to_analysis(require_gray(i_prev, "i_prev"), analysis_size)
+    a = resize_area(require_gray(i_n, "i_n"), analysis_size, analysis_size)
+    b = resize_area(require_gray(i_prev, "i_prev"), analysis_size, analysis_size)
     return float(np.mean(np.abs(sobel_magnitude(a) - sobel_magnitude(b))))
-
-
-def to_analysis(img: np.ndarray, analysis_size: int) -> np.ndarray:
-    """``img`` area-resized to analysis_size x analysis_size; an image already
-    that size is returned as it is, not copied (no caller writes to it)."""
-    if img.shape == (analysis_size, analysis_size):
-        return img
-    return resize_area(img, analysis_size, analysis_size)
 
 
 def dft2(img: np.ndarray) -> np.ndarray:

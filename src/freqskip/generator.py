@@ -175,12 +175,9 @@ def synth_target(spec: TargetSpec, size: int) -> np.ndarray:
             raise ImageFormatError(f"{spec.path}: target pixels span [{img.min()}, {img.max()}], outside [0, 1]")
         if img.ndim == 3:
             img = to_grayscale(img)
-        if img.shape != (size, size):
-            if img.shape[0] >= size and img.shape[1] >= size:
-                img = resize_area(img, size, size)
-            else:
-                img = resize_bilinear(img, size, size)
-        return img
+        if img.shape[0] >= size and img.shape[1] >= size:
+            return resize_area(img, size, size)
+        return resize_bilinear(img, size, size)
     rng = np.random.default_rng((spec.seed, _TARGET_STREAM))
     yy, xx = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
     img = np.full((size, size), 0.5)
@@ -297,13 +294,11 @@ def decode_final(trace: StepTrace, stop_step: int, replaced: bool = False) -> np
     """Full-resolution output if generation stops at stop_step.
 
     The emitted image is the stop step's combined image, or its clipped
-    conditional branch when the unconditional branch is ``replaced``; it is
-    bilinear-upsampled unless stop_step = K, where the combined image is
-    returned unchanged.
+    conditional branch when the unconditional branch is ``replaced``,
+    bilinear-upsampled to full size; at stop_step = K it already is that
+    size and is returned as it is.
     """
     rec = trace.step(stop_step)
     out = np.clip(rec.cond, 0.0, 1.0) if replaced else rec.combined
-    if stop_step == trace.config.steps:
-        return out
     size = trace.config.full_size
     return resize_bilinear(out, size, size)

@@ -9,7 +9,11 @@ Supported file formats:
 * a raw float format: one ASCII header line ``SKVR1 <width> <height>\\n``
   followed by ``width*height`` little-endian float32 values, row-major.
 
-All functions are pure; none mutate their inputs.
+No function mutates its input, but for :func:`gaussian_filter` asked to
+write over it (``out=img``).  A resampler asked for the size its input
+already has returns the validated input, not a copy: :func:`require_gray`'s
+result, which is the caller's own array when that is float64 already.  So
+a resampled image is read-only by contract.
 
 Three resampling constants are built once per process and kept,
 read-only.  The first is the area-resize period block per (input, output)
@@ -31,9 +35,10 @@ write their intermediates into a :class:`Workspace`, one per thread
 holds one flat float64 buffer per role, grown to the largest size asked for
 and viewed at the shape each call needs, so a kernel in steady state takes
 no fresh pages.  The roles are ``pad`` (a filter's padded input), ``rows``
-(its row pass) and ``mu``, ``sq`` and ``cov``, SSIM's per-image moments,
-which only SSIM uses; see :mod:`freqskip.metrics`.  At 256 x 256 with SSIM's
-radius 5 they take ~2.6 MB.  A kernel holds a role only while it runs, never
+(its row pass), ``mu`` and ``sq``, which hold one image's SSIM moments
+(:mod:`freqskip.metrics`) and the Sobel stencil's differences
+(:func:`freqskip.frequency.sobel_magnitude`), and ``cov``, which only SSIM
+uses.  At 256 x 256 with SSIM's radius 5 they take ~2.6 MB.  A kernel holds a role only while it runs, never
 across a ``yield`` or a call to another kernel that uses the same role, and
 every array a kernel hands back is fresh, never a workspace view.  The
 generator's noise octaves do not use the thread's workspace: each of their
@@ -107,7 +112,8 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
 
     Each output pixel is the overlap-weighted mean of the source pixels its
     (possibly fractional) source rectangle covers.  Only downscaling or the
-    identity size is allowed; use :func:`resize_bilinear` to upscale.
+    identity size is allowed; use :func:`resize_bilinear` to upscale.  At
+    the identity size the validated input itself is returned.
 
     The overlap pattern repeats with period gcd(n_in, n_out) along each
     axis, so each axis costs one small product with its
@@ -124,7 +130,7 @@ def resize_area(img: np.ndarray, width: int, height: int) -> np.ndarray:
             f"resize_area cannot upscale ({w_in}x{h_in} -> {width}x{height}); use resize_bilinear"
         )
     if width == w_in and height == h_in:
-        return arr.copy()
+        return arr
     block_h = _area_block(h_in, height)
     block_w = _area_block(w_in, width)
     # rows, then columns; the input is made C-contiguous first so that, for a
@@ -161,7 +167,8 @@ def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
 
     Output corner samples coincide with input corner samples; a
     single-row/column output samples the input midline.  Output values never
-    leave the [min, max] range of the input.
+    leave the [min, max] range of the input.  At the identity size the
+    validated input itself is returned.
 
     Computed as two 1-D lerps with no weight matrix: across the columns of
     every input row (an input-height by output-width array), then between
@@ -175,7 +182,7 @@ def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
     if width < 1 or height < 1:
         raise ValueError("output dimensions must be >= 1")
     if width == w_in and height == h_in:
-        return arr.copy()
+        return arr
     x0, x1, wx0, wx1, y0, y1, wy0, wy1 = _bilinear_tables(h_in, w_in, width, height)
     # both lerps run in place on the fresh gathered copies, never on a table
     rows = arr[:, x0]

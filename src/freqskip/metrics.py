@@ -18,11 +18,12 @@ every intermediate of the SSIM filters, moments and formula and of the Sobel
 map's differences lives in the calling thread's ``image.Workspace``, which
 the thread keeps for its lifetime, while ``np.quantile`` copies the Sobel
 map.  The workspace's roles are the filter's ``pad`` and ``rows`` buffers
-(the latter also holds the products between filter calls and the SSIM
-numerator) and ``mu``, ``sq`` and ``cov``, one image's filtered moments; at
-256 x 256 the five take ~2.6 MB per thread.  Callers always get fresh
-arrays: each yielded SSIM map, each Sobel map, and the reference's moments
-that :func:`ssim_maps` holds between yields.  No workspace buffer is held
+(the latter also holds each squared mean, the products between filter calls
+and the SSIM numerator) and ``mu``, ``sq`` and ``cov``, one scored image's
+filtered moments; at 256 x 256 the five take ~2.6 MB per thread.  The
+reference's moments are filtered into two fresh arrays, which
+:func:`ssim_maps` holds between yields, and callers always get fresh arrays:
+each yielded SSIM map and each Sobel map.  No workspace buffer is held
 across a ``yield``, so interleaved generators and concurrent threads get the
 bits of serial calls.
 """
@@ -66,15 +67,17 @@ def _check_like(b: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return b
 
 
-def _moments(x: np.ndarray, params: SsimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-filtered local mean and variance of one image, as fresh
-    arrays; the square goes through the thread's ``sq`` buffer."""
+def _moments(x: np.ndarray, params: SsimParams, mu: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-filtered local mean and variance of one image, written into
+    and returned as ``mu`` and ``var`` (C-contiguous ``x``-shaped float64
+    arrays); the subtracted square of the mean goes through the thread's
+    ``rows`` buffer."""
     sigma, radius = params.sigma, params.window // 2
     work = thread_workspace()
-    mu = gaussian_filter(x, sigma, radius, work=work)
-    sq = np.multiply(x, x, out=work.get("sq", x.shape))
-    var = gaussian_filter(sq, sigma, radius, work=work)
-    var -= np.multiply(mu, mu, out=sq)
+    gaussian_filter(x, sigma, radius, out=mu, work=work)
+    np.multiply(x, x, out=var)
+    gaussian_filter(var, sigma, radius, out=var, work=work)
+    var -= np.multiply(mu, mu, out=work.get("rows", x.shape))
     return mu, var
 
 
@@ -91,11 +94,7 @@ def _ssim_against(a: np.ndarray, mu_a: np.ndarray, var_a: np.ndarray, b: np.ndar
     sigma, radius = params.sigma, params.window // 2
     work = thread_workspace()
     shape = a.shape
-    mu_b = gaussian_filter(b, sigma, radius, out=work.get("mu", shape), work=work)
-    var_b = np.multiply(b, b, out=work.get("sq", shape))
-    gaussian_filter(var_b, sigma, radius, out=var_b, work=work)
-    tmp = work.get("rows", shape)
-    var_b -= np.multiply(mu_b, mu_b, out=tmp)
+    mu_b, var_b = _moments(b, params, work.get("mu", shape), work.get("sq", shape))
     cov = np.multiply(a, b, out=work.get("cov", shape))
     gaussian_filter(cov, sigma, radius, out=cov, work=work)
     # the filter call above used ``rows``, so take it again
@@ -131,7 +130,7 @@ def ssim_maps(
     a = require_gray(reference, "reference")
     if min(a.shape) < params.window:
         raise ValueError(f"images of shape {a.shape} are smaller than the {params.window}-tap window")
-    mu_a, var_a = _moments(a, params)
+    mu_a, var_a = _moments(a, params, np.empty(a.shape), np.empty(a.shape))
     return (_ssim_against(a, mu_a, var_a, _check_like(b, a), params) for b in images)
 
 

@@ -77,14 +77,16 @@ def step_builds(monkeypatch):
 
 @pytest.fixture()
 def area_resizes(monkeypatch):
-    """(input shape, output shape) of every ``image.resize_area`` call during
-    the test, through whichever module's binding the caller uses."""
+    """(input shape, output shape, whether the input itself was returned) of
+    every ``image.resize_area`` call during the test, through whichever
+    module's binding the caller uses."""
     calls = []
     original = image.resize_area
 
     def counted(img, width, height):
-        calls.append((np.shape(img), (height, width)))
-        return original(img, width, height)
+        out = original(img, width, height)
+        calls.append((np.shape(img), (height, width), out is img))
+        return out
 
     for module in (image, generator, features, frequency):
         if getattr(module, "resize_area", None) is original:

@@ -85,11 +85,32 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_train_val(1, 0.8, seed=0)
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.0])
+    def test_ratio_outside_open_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be in"):
+            split_train_val(10, ratio, seed=0)
+
     @given(n=st.integers(2, 200), seed=st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, n, seed):
         train, val = split_train_val(n, 0.8, seed)
         assert sorted(np.concatenate([train, val]).tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize(
+    "train, match",
+    [
+        (lambda: train_tree(np.zeros((2, 2)), ["none", "skip_9"], CLASSES2), "'skip_9' not in class list"),
+        (lambda: train_logreg(np.zeros(4), ["none", "skip_3"] * 2, CLASSES2), r"non-empty \(n, d\) feature matrix"),
+        (lambda: train_forest(np.zeros((0, 2)), [], CLASSES2), r"non-empty \(n, d\) feature matrix"),
+        (lambda: train_two_stage(np.zeros((3, 2)), ["none"] * 2, CLASSES2), "2 labels for 3 samples"),
+        (lambda: train_forest(np.zeros((2, 2)), ["none"] * 2, CLASSES2, ForestConfig(n_trees=0)), "n_trees must be"),
+    ],
+    ids=["unknown_label", "one_dim_x", "no_samples", "label_count", "no_trees"],
+)
+def test_bad_training_input_rejected(train, match):
+    with pytest.raises(ValueError, match=match):
+        train()
 
 
 class TestLogReg:
@@ -140,6 +161,12 @@ class TestLogReg:
                     lm = logreg_loss_grad(w, minus, x, y_idx, 1e-3)[0]
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[idx] - fd) / max(abs(fd), 1e-8) <= 1e-4
+
+    @pytest.mark.parametrize("train", [train_tree, train_forest, train_two_stage])
+    def test_probabilities_need_a_logreg(self, train):
+        x, y = make_separable_set()
+        with pytest.raises(ValueError, match="predict_proba needs a logreg model"):
+            predict_proba(train(x, y, CLASSES2), FeatureVector(0.3, 0.9))
 
     def test_probabilities_sum_to_one(self, rng):
         x, y = make_separable_set()

@@ -142,6 +142,25 @@ class TestSynthTarget:
         with pytest.raises(ValueError):
             TargetSpec(noise_octaves=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"blobs": -1},
+            {"blob_sigma": 0.0},
+            {"sine_cycles": -1.0},
+            {"noise_scale": -0.5},
+            {"noise_persistence": 0.0},
+        ],
+    )
+    def test_invalid_spec_field_named(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            TargetSpec(**kwargs)
+
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            synth_target(TargetSpec(), 0)
+
 
 @pytest.fixture(scope="module")
 def blob_target():
@@ -204,6 +223,10 @@ class TestStepTrace:
         assert step_builds == [9, 9]
         for a, b in ((first.cond, again.cond), (first.uncond, again.uncond), (first.combined, again.combined)):
             assert a is not b and np.array_equal(a, b)
+
+    def test_last_conditional_branch_is_the_target(self, blob_target):
+        cfg = TraceConfig(seed=3)
+        assert StepTrace(blob_target, cfg).step(cfg.steps).cond is blob_target
 
     def test_records_equal_step_images(self, blob_target):
         cfg = TraceConfig(seed=3)

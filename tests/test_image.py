@@ -51,6 +51,22 @@ class TestGrayscale:
         assert np.all(gray >= 0.0) and np.all(gray <= 1.0)
 
 
+@pytest.mark.parametrize("resize", [resize_area, resize_bilinear])
+def test_identity_size_returns_the_validated_input(rng, resize):
+    img = rng.random((7, 5))
+    assert resize(img, 5, 7) is img
+    single = img.astype(np.float32)
+    out = resize(single, 5, 7)
+    assert out.dtype == np.float64 and np.array_equal(out, single)
+
+
+@pytest.mark.parametrize("resize", [resize_area, resize_bilinear])
+@pytest.mark.parametrize("width, height", [(0, 4), (4, 0)])
+def test_resize_rejects_empty_output(rng, resize, width, height):
+    with pytest.raises(ValueError, match="output dimensions must be >= 1"):
+        resize(rng.random((4, 4)), width, height)
+
+
 class TestResizeArea:
     def test_global_mean_2x2(self):
         img = np.array([[0.0, 1.0], [1.0, 0.0]])

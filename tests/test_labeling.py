@@ -258,6 +258,11 @@ class TestSensitivitySplit:
         with pytest.raises(ValueError, match="1 ids for 2 probe SSIMs"):
             split_by_probe(["a"], [0.5, 0.9], 0.85)
 
+    @pytest.mark.parametrize("tau_s", [-0.1, 1.1, float("nan")])
+    def test_split_by_probe_rejects_tau_outside_unit_interval(self, tau_s):
+        with pytest.raises(ValueError, match="tau_s must be in"):
+            split_by_probe(["a"], [0.5], tau_s)
+
     def test_recipe_groups_split_purely(self, frozen_corpus, frozen_records):
         # sensitivity derives from the same skip_3 probe the records hold
         tau_s = 0.85

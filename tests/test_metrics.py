@@ -148,6 +148,8 @@ class TestSsimHf:
             SsimParams(window=4)
         with pytest.raises(ValueError):
             SsimParams(k1=0.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            SsimParams(sigma=0.0)
 
 
 def check_hf_mean(values, ref):

@@ -84,6 +84,20 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="analysis_size"):
             PipelineConfig(analysis_size=160).validate_for(FROZEN_TRACE)
 
+    def test_analysis_size_below_three_rejected(self):
+        with pytest.raises(ValueError, match="analysis_size must be >= 3"):
+            PipelineConfig(analysis_size=2)
+
+    @pytest.mark.parametrize("decision_step", [1, 13])
+    def test_features_need_a_step_of_the_run_after_the_first(self, decision_step):
+        target = synth_target(TargetSpec(seed=4, blobs=3), 256)
+        with pytest.raises(ValueError, match="decision_step must be in 2..12"):
+            decision_features(target, FROZEN_TRACE, decision_step, 128, FROZEN_PIPELINE.hf)
+
+    def test_unknown_model_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+            train_from_samples([], tuple(FROZEN_PIPELINE.ladder_ids()), "svm")
+
     def test_ladder_must_fit_eligible_steps(self):
         with pytest.raises(ValueError, match="eligible"):
             PipelineConfig(ladder=(Strategy.skip(4), Strategy.none())).validate_for(FROZEN_TRACE)
@@ -246,13 +260,36 @@ def test_evaluate_spec_peak_memory(frozen_corpus, ident):
         assert peak <= EVALUATE_PEAK_MIB[ident] * MIB
 
 
+# Largest warm peak of one forced run over frozen samples 4-11, in MiB.
+# uncond_3 emits step 12's conditional branch, which is the target itself;
+# it peaked at 2.59 MiB while resize_area copied an image at its own size.
+RUN_PEAK_MIB = {"skip_3": 2.28, "uncond_3": 2.09}
+
+
+@pytest.mark.parametrize("ident", sorted(RUN_PEAK_MIB))
+def test_run_accelerated_peak_memory(frozen_targets, ident):
+    strategy = parse_strategy(ident)
+
+    def run(target):
+        run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=strategy)
+
+    for target in frozen_targets[:2]:
+        run(target)
+    for target in frozen_targets[4:12]:
+        assert traced_peak(lambda: run(target)) <= RUN_PEAK_MIB[ident] * MIB
+
+
 class TestAreaResizes:
     def test_run_makes_no_identity_resize(self, area_resizes):
         # steps 8 (128) and 9 (160) from the 256 target, then 9 to the
-        # 128 analysis size; step 8 is already that size and is not copied
+        # 128 analysis size; step 8 is already that size and is returned as
+        # it is, never copied
         target = synth_target(TargetSpec(seed=4, blobs=3), 256)
         run_accelerated(target, FROZEN_TRACE, FROZEN_PIPELINE, None, force_strategy=Strategy.skip(3))
-        assert sorted(area_resizes) == [((160, 160), (128, 128)), ((256, 256), (128, 128)), ((256, 256), (160, 160))]
+        resized = sorted((shape, size) for shape, size, _ in area_resizes if shape != size)
+        assert resized == [((160, 160), (128, 128)), ((256, 256), (128, 128)), ((256, 256), (160, 160))]
+        identity = [returned for shape, size, returned in area_resizes if shape == size]
+        assert identity and all(identity)
 
 
 class TestFixedHybridSchedule:

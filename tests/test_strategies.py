@@ -80,6 +80,11 @@ class TestStrategyType:
         with pytest.raises(ValueError):
             Strategy.hybrid(*bad, 1)
 
+    @pytest.mark.parametrize("kwargs", [{"skip_n": -1}, {"uncond_n": -2}], ids=["skip_n", "uncond_n"])
+    def test_constructor_rejects_negative_counts(self, kwargs):
+        with pytest.raises(ValueError, match="step counts must be >= 0"):
+            Strategy(**kwargs)
+
 
 def reference_plan(skip_n: int, uncond_n: int, steps: int):
     """The per-kind rules of a strategy tagged with its kind: its kind,
@@ -217,6 +222,8 @@ class TestLadderOrder:
     def test_requires_none(self, cost_model):
         with pytest.raises(ValueError):
             ladder_order(cost_model, [Strategy.skip(1)])
+        with pytest.raises(ValueError, match="must not be empty"):
+            ladder_order(cost_model, [])
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
