@@ -14,10 +14,10 @@ one BLAS thread.  The target is sample 0 of the frozen corpus
 (``default_corpus(200, seed)``).
 
 Two columns: ``cold`` empties the process-wide memos (the step
-perturbations, the area-resize period blocks, the Gaussian filter bands,
-the bilinear resize tables and the spectral-ratio masks) before every
-call, outside the timed region; ``warm`` keeps them, as a long-lived
-process does.  ``predict`` has one row per model kind
+perturbations, the area-resize period blocks and their transposes, the
+Gaussian filter bands, the bilinear resize tables and the spectral-ratio
+masks) before every call, outside the timed region; ``warm`` keeps them,
+as a long-lived process does.  ``predict`` has one row per model kind
 (logreg, tree, forest, two_stage), each fitted on the labels of the first
 16 corpus samples; ``run_accelerated`` uses the logreg one.  Times depend
 on the host; a shared host makes them indicative only.
@@ -81,6 +81,7 @@ def layers(seed: int) -> list[tuple[str, object]]:
     models = {kind: train_from_samples(samples, tuple(pcfg.ladder_ids()), kind) for kind in TRAINERS}
     i8 = step_images(target, cfg, 8).combined
     i9 = step_images(target, cfg, 9).combined
+    i10 = step_images(target, cfg, 10).combined
     a9 = resize_area(i9, pcfg.analysis_size, pcfg.analysis_size)
     up9 = resize_bilinear(i9, cfg.full_size, cfg.full_size)
     smap = ssim_map(target, up9)
@@ -93,10 +94,12 @@ def layers(seed: int) -> list[tuple[str, object]]:
         ("gaussian_filter 256 r=5 kept", lambda: gaussian_filter(target, 1.5, 5, out=kept, work=image.thread_workspace())),
         ("gaussian_filter 256 r=29", lambda: gaussian_filter(target, 9.6, 29)),
         ("resize_area 256->224", lambda: resize_area(target, 224, 224)),
+        ("resize_area 256->192", lambda: resize_area(target, 192, 192)),
         ("resize_area 256->160", lambda: resize_area(target, 160, 160)),
         ("resize_area 256->128", lambda: resize_area(target, 128, 128)),
         ("resize_area 160->128", lambda: resize_area(i9, n, n)),
         ("resize_bilinear 160->256", lambda: resize_bilinear(i9, cfg.full_size, cfg.full_size)),
+        ("resize_bilinear 192->256", lambda: resize_bilinear(i10, cfg.full_size, cfg.full_size)),
         ("step_images k=8", lambda: step_images(target, cfg, 8)),
         ("step_images k=9", lambda: step_images(target, cfg, 9)),
         ("step_images k=12", lambda: step_images(target, cfg, 12)),

@@ -66,12 +66,15 @@ atexit.register(_drop_kept_pool)
 def _map_jobs(fn, items: list, jobs: int) -> list:
     """``[fn(item) for item in items]``, in order, on min(``jobs``, CPU count, item count) processes.
 
-    One worker runs in this process.  More run in the process's kept pool,
-    forked on the first call that needs workers and reused by every later
-    call that needs as many; a call that needs another count replaces it.
-    Workers therefore see this process as it was when they were forked (cwd,
-    environment, module attributes).  A map that raises terminates the pool,
-    and so does interpreter exit.
+    With one process the items run here, in this process.  With two or
+    more, every item runs in the process's kept pool of that many workers
+    while this process waits for their results, so ``jobs=2`` is two
+    workers plus a waiting parent.  The pool is forked on the first call
+    that needs workers and reused by every later call that needs as many; a
+    call that needs another count replaces it.  Workers therefore see this
+    process as it was when they were forked (cwd, environment, module
+    attributes).  A map that raises terminates the pool, and so does
+    interpreter exit.
     """
     global _kept_pool
     jobs = min(jobs, os.cpu_count() or 1, len(items))

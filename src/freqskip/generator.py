@@ -28,8 +28,9 @@ r_k), ``image._area_block``, the overlap weights of one period of an
 area resize, and ``image._bilinear_tables``, the gather indices and
 weights of an upsample, both per (input, output) size pair.  All 12
 perturbations of one default config take ~1.7 MB (the sum of r_k**2
-float64 values); the blocks for the default schedule and analysis size
-take ~3 KB, and the tables 16 KB per upsample size pair.
+float64 values); the blocks for the default schedule and analysis size,
+each kept with a C-ordered copy of its transpose, take ~6 KB, and the
+tables 16 KB per upsample size pair.
 """
 
 from __future__ import annotations

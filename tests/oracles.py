@@ -222,18 +222,18 @@ def gaussian_filter_inline(img, sigma, radius):
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(t * t) / (2.0 * sigma * sigma))
     k = k / k.sum()
-    rows = np.arange(64)[:, None]
-    band = np.zeros((64, 64 + 2 * radius))
+    rows = np.arange(32)[:, None]
+    band = np.zeros((32, 32 + 2 * radius))
     band[rows, rows + np.arange(k.size)] = k
     h, w = img.shape
     p = np.pad(img, radius, mode="reflect")
     horiz = np.empty((h + 2 * radius, w))
-    for x in range(0, w, 64):
-        n = min(64, w - x)
+    for x in range(0, w, 32):
+        n = min(32, w - x)
         horiz[:, x : x + n] = p[:, x : x + n + 2 * radius] @ band[:n, : n + 2 * radius].T
     out = np.empty((h, w))
-    for y in range(0, h, 64):
-        n = min(64, h - y)
+    for y in range(0, h, 32):
+        n = min(32, h - y)
         out[y : y + n] = band[:n, : n + 2 * radius] @ horiz[y : y + n + 2 * radius]
     return out
 

@@ -276,19 +276,21 @@ class TestProcessConstants:
 
     def test_memoized_arrays_are_read_only(self):
         offset = generator._perturbation(0, 0.15, 0.6, 9, 160)
-        block = image._area_block(256, 160)
+        block, block_t = image._area_block(256, 160)
         assert block.shape == (5, 8)  # one period: 8 input pixels to 5 outputs
+        assert block_t.flags.c_contiguous and np.array_equal(block_t, block.T)
         band = image._gaussian_band(1.5, 5)
-        assert band.shape == (64, 74)  # 37,888 bytes at SSIM's radius 5
+        assert band.shape == (32, 42)  # 10,752 bytes at SSIM's radius 5
         mask = frequency._hf_mask(128, 128, 0.4)
         assert mask.nbytes == 16384
         tables = image._bilinear_tables(160, 160, 256, 256)
         assert sum(t.nbytes for t in tables) == 8 * 2048  # four 256-entry tables per axis
-        for arr in (offset, block, band, mask, *tables):
+        for arr in (offset, block, block_t, band, mask, *tables):
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
-        assert image._area_block(256, 160) is block
+        assert image._area_block(256, 160)[0] is block
+        assert image._area_block(256, 160)[1] is block_t
         assert image._gaussian_band(1.5, 5) is band
         assert frequency._hf_mask(128, 128, 0.4) is mask
         assert image._bilinear_tables(160, 160, 256, 256) is tables

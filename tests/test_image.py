@@ -140,9 +140,10 @@ class TestResizeArea:
         "n_in, n_out", [(256, r) for r in DEFAULT_SCHEDULE] + [(160, 128), (192, 128), (256, 255), (37, 23), (97, 1)]
     )
     def test_block_rows_sum_to_one(self, n_in, n_out):
-        block = _area_block(n_in, n_out)
+        block, block_t = _area_block(n_in, n_out)
         g = np.gcd(n_in, n_out)
         assert block.shape == (n_out // g, n_in // g)
+        assert block_t.flags.c_contiguous and np.array_equal(block_t, block.T)
         assert np.all(block >= 0.0)
         assert np.all(np.abs(block.sum(axis=1) - 1.0) <= 1e-15)
 
@@ -210,6 +211,20 @@ class TestResizeBilinear:
         img = rng.random((r, r))
         assert np.array_equal(resize_bilinear(img, 256, 256), bilinear_resize_naive(img, 256, 256))
 
+    @pytest.mark.parametrize("h_in, w_in, h_out, w_out", [(160, 160, 256, 256), (192, 192, 256, 256), (37, 23, 61, 97)])
+    def test_same_pixels_in_any_layout_give_identical_output(self, rng, h_in, w_in, h_out, w_out):
+        # the column gathers read any layout; the lerps must not see it
+        img = rng.random((h_in, w_in))
+        wide = rng.random((2 * h_in + 3, 3 * w_in + 5))
+        wide[3::2, 5::3][:h_in, :w_in] = img
+        shifted = np.empty(h_in * w_in + 1)[1:].reshape(h_in, w_in)  # data 8 bytes past its buffer's start
+        shifted[:] = img
+        layouts = [np.asfortranarray(img), wide[3::2, 5::3][:h_in, :w_in], shifted, img.copy()]
+        expected = bilinear_resize_naive(img, w_out, h_out)
+        for arr in layouts:
+            assert np.array_equal(arr, img)
+            assert np.array_equal(resize_bilinear(arr, w_out, h_out), expected)
+
 
 class TestGaussianFilter:
     # SSIM's window, then synth_target's five noise octaves (sigma 0.6 * 2**o)
@@ -222,7 +237,7 @@ class TestGaussianFilter:
         radius=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    # 1-row and 1-column images, sizes on both sides of the 64-output block,
+    # 1-row and 1-column images, sizes on both sides of a block boundary,
     # and radii at or beyond the image size, where the reflection wraps
     @example(h=1, w=1, sigma=1.0, radius=3, seed=0)
     @example(h=1, w=300, sigma=1.5, radius=5, seed=1)
