@@ -17,6 +17,15 @@ the last three steps carry a fixed share (0.69) of the baseline cost;
 builds images.  Identical (target, config) pairs always produce
 bit-identical traces.
 
+A procedural target (:func:`synth_target`) is built in place with the bits
+of its out-of-place formulas: each blob and the sinusoid are broadcast from
+(size, 1) and (1, size) coordinate vectors into one full-size term buffer,
+each noise octave is drawn into that buffer and filtered there, through one
+``image.Workspace`` per call that is freed on return, and every term is
+added into the image or the noise field in place.  At 256 x 256 that is
+five full-size arrays at most (image, term, field and the workspace's pad
+and rows), ~3.4 MiB traced.
+
 A :class:`StepTrace` is one sample's run: it builds step k on first read,
 holds it until released, and is the one place features, emitted outputs,
 the baseline and labels read their steps from.
@@ -42,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import ImageFormatError, gaussian_filter, load_image, require_gray, resize_area, resize_bilinear
+from .image import ImageFormatError, Workspace, gaussian_filter, load_image, require_gray, resize_area, resize_bilinear
 from .image import to_grayscale
 
 DEFAULT_SCHEDULE = (8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256)
@@ -180,31 +189,51 @@ def synth_target(spec: TargetSpec, size: int) -> np.ndarray:
             return resize_area(img, size, size)
         return resize_bilinear(img, size, size)
     rng = np.random.default_rng((spec.seed, _TARGET_STREAM))
-    yy, xx = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
+    # (size, 1) and (1, size) coordinates: each full-size term broadcasts
+    # from them into ``term``, with the bits of full meshgrid arrays
+    y = np.arange(size, dtype=np.float64)[:, None]
+    x = np.arange(size, dtype=np.float64)[None, :]
     img = np.full((size, size), 0.5)
+    term = np.empty((size, size))
     for i in range(spec.blobs):
         cy = rng.uniform(0.15, 0.85) * size
         cx = rng.uniform(0.15, 0.85) * size
         sig = spec.blob_sigma * rng.uniform(0.6, 1.4)
         amp = spec.blob_amp * rng.uniform(0.5, 1.0) * (1.0 if i % 2 == 0 else -1.0)
-        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-        img = img + amp * np.exp(-d2 / (2.0 * sig * sig))
+        # amp * exp(-d2 / (2 sig^2)), d2 the squared distance to the centre
+        np.add((y - cy) ** 2, (x - cx) ** 2, out=term)
+        np.negative(term, out=term)
+        term /= 2.0 * sig * sig
+        np.exp(term, out=term)
+        term *= amp
+        img += term
     if spec.sine_amp > 0.0 and spec.sine_cycles > 0.0:
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        u = xx * np.cos(spec.sine_angle) + yy * np.sin(spec.sine_angle)
-        img = img + spec.sine_amp * np.sin(2.0 * np.pi * spec.sine_cycles * u / size + phase)
+        # sine_amp * sin(2 pi cycles u / size + phase), u the position along the angle
+        np.add(x * np.cos(spec.sine_angle), y * np.sin(spec.sine_angle), out=term)
+        term *= 2.0 * np.pi * spec.sine_cycles
+        term /= size
+        term += phase
+        np.sin(term, out=term)
+        term *= spec.sine_amp
+        img += term
     if spec.noise_amp > 0.0:
+        # every octave is drawn into ``term`` and filtered there
+        work = Workspace()
         field = np.zeros((size, size))
         for octave in range(spec.noise_octaves):
-            layer = rng.standard_normal((size, size))
+            rng.standard_normal(out=term)
             sigma = spec.noise_scale * (2.0**octave)
             if sigma > 0.0:
-                layer = gaussian_filter(layer, sigma, max(1, int(math.ceil(3.0 * sigma))))
-            rms = float(np.sqrt(np.mean(layer * layer)))
-            field = field + (spec.noise_persistence**octave / rms) * layer
-        field_rms = float(np.sqrt(np.mean(field * field)))
-        img = img + spec.noise_amp * field / field_rms
-    return np.clip(img, 0.0, 1.0)
+                gaussian_filter(term, sigma, max(1, int(math.ceil(3.0 * sigma))), out=term, work=work)
+            rms = float(np.sqrt(np.mean(np.multiply(term, term, out=work.get("rows", term.shape)))))
+            term *= spec.noise_persistence**octave / rms
+            field += term
+        field_rms = float(np.sqrt(np.mean(np.multiply(field, field, out=term))))
+        field *= spec.noise_amp
+        field /= field_rms
+        img += field
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def _box3(x: np.ndarray) -> np.ndarray:

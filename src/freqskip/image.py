@@ -43,8 +43,9 @@ no fresh pages.  The roles are ``pad`` (a filter's padded input), ``rows``
 uses.  At 256 x 256 with SSIM's radius 5 they take ~2.6 MB.  A kernel holds a role only while it runs, never
 across a ``yield`` or a call to another kernel that uses the same role, and
 every array a kernel hands back is fresh, never a workspace view.  The
-generator's noise octaves do not use the thread's workspace: each of their
-filter calls makes its own, freed when the call returns.
+generator's noise octaves do not use the thread's workspace: each
+``generator.synth_target`` call filters all its octaves through one
+workspace of its own, freed when the call returns.
 """
 
 from __future__ import annotations
@@ -296,8 +297,8 @@ def gaussian_filter(
     ``pad`` and ``rows`` buffers: the pad is filled by slice copies (by
     ``np.pad`` when the radius is at least a side) and every block product
     is written in place.  With a kept workspace (the scoring kernels') the
-    call takes no fresh pages; without one (the generator's noise octaves)
-    it makes a fresh :class:`Workspace`, freed when the call returns.
+    call takes no fresh pages; without one it makes a fresh
+    :class:`Workspace`, freed when the call returns.
     """
     work = work if work is not None else Workspace()
     band = _gaussian_band(sigma, radius)

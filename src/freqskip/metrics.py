@@ -8,24 +8,31 @@ trained model are defined under that one SSIM.  The high-frequency variant
 averages the SSIM map only over the reference image's strongest Sobel
 responses (at or above their :data:`HF_MASK_QUANTILE`, the top quartile),
 emphasizing fine-detail preservation that the plain mean washes out.  The
-mask's cutoff is ``np.quantile`` of the Sobel map, numpy's linear quantile.
+mask's cutoff is numpy's linear quantile of the Sobel map, the bits of
+``np.quantile`` taken from one single-kth ``np.partition``
+(:func:`_hf_cutoff`): numpy selects one kth on its SIMD path but runs the
+three of ``np.quantile`` on its generic one, ~10x slower at 256 x 256.  The
+masked values are gathered by ``np.compress`` over the flattened arrays,
+which picks the elements of boolean indexing in the same order but is
+several times faster on a mask as scattered as a Sobel map's.
 Callers that need both scores build one map and take ``np.mean`` and
 :func:`hf_mean` of it; callers that score several images against one
 reference use :func:`ssim_maps`, which filters the reference's moments once.
 
-Scoring takes no fresh pages in steady state, but for the mask's cutoff:
-every intermediate of the SSIM filters, moments and formula and of the Sobel
-map's differences lives in the calling thread's ``image.Workspace``, which
-the thread keeps for its lifetime, while ``np.quantile`` copies the Sobel
-map.  The workspace's roles are the filter's ``pad`` and ``rows`` buffers
-(the latter also holds each squared mean, the products between filter calls
-and the SSIM numerator) and ``mu``, ``sq`` and ``cov``, one scored image's
-filtered moments; at 256 x 256 the five take ~2.6 MB per thread.  The
-reference's moments are filtered into two fresh arrays, which
-:func:`ssim_maps` holds between yields, and callers always get fresh arrays:
-each yielded SSIM map and each Sobel map.  No workspace buffer is held
-across a ``yield``, so interleaved generators and concurrent threads get the
-bits of serial calls.
+Scoring takes no fresh pages in steady state, but for the high-frequency
+mask: every intermediate of the SSIM filters, moments and formula and of
+the Sobel map's differences lives in the calling thread's
+``image.Workspace``, which the thread keeps for its lifetime, while the
+cutoff partitions a copy of the Sobel map and the mask and the values it
+picks are fresh arrays.  The workspace's roles are the filter's ``pad`` and
+``rows`` buffers (the latter also holds each squared mean, the products
+between filter calls and the SSIM numerator) and ``mu``, ``sq`` and
+``cov``, one scored image's filtered moments; at 256 x 256 the five take
+~2.6 MB per thread.  The reference's moments are filtered into two fresh
+arrays, which :func:`ssim_maps` holds between yields, and callers always get
+fresh arrays: each yielded SSIM map and each Sobel map.  No workspace buffer
+is held across a ``yield``, so interleaved generators and concurrent threads
+get the bits of serial calls.
 """
 
 from __future__ import annotations
@@ -151,24 +158,48 @@ def ssim_hf(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> 
     return hf_mean(ssim_map(a, b, params), a)
 
 
+def _hf_cutoff(sob: np.ndarray) -> float:
+    """``np.quantile(sob, HF_MASK_QUANTILE)``, bit for bit, from one
+    partition.
+
+    numpy's linear quantile at position p = (n - 1) q interpolates between
+    the order statistics at k = floor(p) and k + 1 by its ``_lerp`` rule,
+    which this repeats.  ``np.quantile`` partitions at three kth values (the
+    two order statistics and -1 for its NaN check), which numpy runs on its
+    generic selection; one kth takes its SIMD path, about ten times faster
+    at 256 x 256, and the order statistic above k is the minimum of the
+    values it leaves above.  NaNs partition last, so any NaN reaches one of
+    the two, and the cutoff is NaN as numpy's is.  ``sob`` holds at least
+    two values.
+    """
+    pos = (sob.size - 1) * HF_MASK_QUANTILE
+    k = int(pos)
+    frac = pos - k
+    part = np.partition(sob.ravel(), k)
+    lo, hi = part[k], part[k + 1 :].min()
+    diff = hi - lo
+    return float(hi - diff * (1.0 - frac) if frac >= 0.5 else lo + diff * frac)
+
+
 def hf_mean(values: np.ndarray, reference: np.ndarray) -> float:
     """Mean of a per-pixel map over the reference image's high-frequency pixels.
 
     The mask keeps pixels whose Sobel magnitude in ``reference`` is at least
-    the :data:`HF_MASK_QUANTILE` quantile of that map.  A flat reference
-    yields the plain mean (every pixel ties at zero, and an empty mask falls
-    back to it as well, as it does when the Sobel map holds a NaN).
-    ``values`` must have the reference's shape.
+    the :data:`HF_MASK_QUANTILE` quantile of that map (:func:`_hf_cutoff`).
+    A flat reference yields the plain mean (every pixel ties at zero, and an
+    empty mask falls back to it as well, as it does when the Sobel map holds
+    a NaN).  ``values`` must have the reference's shape.  The masked values
+    are gathered by ``np.compress`` over the flattened arrays: the elements
+    and order of ``values[mask]``, but on a scattered mask such as a Sobel
+    map's several times faster than boolean indexing.
     """
     ref = require_gray(reference, "reference")
     values = np.asarray(values)
     if values.shape != ref.shape:
         raise ValueError(f"values of shape {values.shape} do not match the reference's shape {ref.shape}")
     sob = sobel_magnitude(ref)
-    mask = sob >= np.quantile(sob, HF_MASK_QUANTILE)
-    if not mask.any():
-        return float(np.mean(values))
-    return float(np.mean(values[mask]))
+    picked = np.compress(sob.ravel() >= _hf_cutoff(sob), values.ravel())
+    return float(np.mean(picked if picked.size else values))
 
 
 def l1_mean(a: np.ndarray, b: np.ndarray) -> float:

@@ -252,3 +252,36 @@ def ssim_map_inline(a, b, window=11, sigma=1.5, k1=0.01, k2=0.03):
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return num / den
+
+
+def synth_target_inline(spec, size):
+    """The procedural target on meshgrid coordinates, every term a fresh
+    out-of-place array and each noise octave filtered into a fresh layer
+    through :func:`gaussian_filter_inline`, kept to pin synth_target's
+    bits.  Stream 0 of the spec's seed is the generator's target stream."""
+    rng = np.random.default_rng((spec.seed, 0))
+    yy, xx = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
+    img = np.full((size, size), 0.5)
+    for i in range(spec.blobs):
+        cy = rng.uniform(0.15, 0.85) * size
+        cx = rng.uniform(0.15, 0.85) * size
+        sig = spec.blob_sigma * rng.uniform(0.6, 1.4)
+        amp = spec.blob_amp * rng.uniform(0.5, 1.0) * (1.0 if i % 2 == 0 else -1.0)
+        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+        img = img + amp * np.exp(-d2 / (2.0 * sig * sig))
+    if spec.sine_amp > 0.0 and spec.sine_cycles > 0.0:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        u = xx * np.cos(spec.sine_angle) + yy * np.sin(spec.sine_angle)
+        img = img + spec.sine_amp * np.sin(2.0 * np.pi * spec.sine_cycles * u / size + phase)
+    if spec.noise_amp > 0.0:
+        field = np.zeros((size, size))
+        for octave in range(spec.noise_octaves):
+            layer = rng.standard_normal((size, size))
+            sigma = spec.noise_scale * (2.0**octave)
+            if sigma > 0.0:
+                layer = gaussian_filter_inline(layer, sigma, max(1, int(math.ceil(3.0 * sigma))))
+            rms = float(np.sqrt(np.mean(layer * layer)))
+            field = field + (spec.noise_persistence**octave / rms) * layer
+        field_rms = float(np.sqrt(np.mean(field * field)))
+        img = img + spec.noise_amp * field / field_rms
+    return np.clip(img, 0.0, 1.0)

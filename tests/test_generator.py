@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MIB, traced_peak
 from freqskip import frequency, generator, image
+from freqskip.corpus import blob_corpus, default_corpus, family_b
 from freqskip.frequency import HFParams, hf_ratio
 from freqskip.generator import (
     DEFAULT_SCHEDULE,
@@ -20,7 +22,7 @@ from freqskip.generator import (
 from freqskip.image import ImageFormatError, resize_area, save_image
 from freqskip.metrics import l1_mean, ssim
 
-from oracles import hf_ratio_naive
+from oracles import hf_ratio_naive, synth_target_inline
 
 
 class TestCostWeights:
@@ -160,6 +162,42 @@ class TestSynthTarget:
     def test_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="size must be >= 1"):
             synth_target(TargetSpec(), 0)
+
+
+# Largest warm traced peak of one synth_target call at 256 over the first
+# 12 specs of default_corpus and of family_b, in MiB: the image, the one
+# term buffer, the noise field and the call's workspace.  It read 4.87 MiB
+# (5.30 on family_b) when each term and octave took fresh arrays.
+SYNTH_PEAK_MIB = 3.45
+
+
+class TestSynthTargetInPlace:
+    """The in-place procedural target equals the out-of-place form kept in
+    ``synth_target_inline`` bit for bit."""
+
+    @pytest.mark.parametrize("size", [97, 256, 300])
+    @pytest.mark.parametrize("corpus", [default_corpus, family_b, blob_corpus], ids=lambda c: c.__name__)
+    def test_corpus_targets(self, corpus, size):
+        specs = corpus(6, seed=0)
+        if corpus is family_b:
+            assert any(spec.sine_amp > 0.0 for spec in specs)
+        for spec in specs:
+            assert np.array_equal(synth_target(spec, size), synth_target_inline(spec, size))
+
+    @pytest.mark.parametrize("size", [16, 64])
+    def test_white_noise_and_wide_octaves(self, size):
+        # white noise skips the filter; at 16 the wider octaves pad by np.pad
+        for spec in (
+            TargetSpec(seed=3, noise_amp=0.3, noise_scale=0.0, noise_octaves=2),
+            TargetSpec(seed=4, blobs=0, sine_cycles=7.3, sine_amp=0.3, noise_amp=0.2, noise_scale=2.0, noise_octaves=3),
+        ):
+            assert np.array_equal(synth_target(spec, size), synth_target_inline(spec, size))
+
+    def test_peak_memory(self):
+        specs = default_corpus(12, seed=0) + family_b(12, seed=0)
+        synth_target(specs[0], 256)
+        for spec in specs:
+            assert traced_peak(lambda: synth_target(spec, 256)) <= SYNTH_PEAK_MIB * MIB
 
 
 @pytest.fixture(scope="module")

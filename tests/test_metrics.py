@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import FROZEN_TRACE
 from freqskip.frequency import sobel_magnitude
 from freqskip.generator import StepTrace, decode_final, synth_target
-from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, hf_mean, l1_mean, ssim, ssim_hf, ssim_map, ssim_maps
+from freqskip.metrics import HF_MASK_QUANTILE, SsimParams, _hf_cutoff, hf_mean, l1_mean, ssim, ssim_hf, ssim_map
+from freqskip.metrics import ssim_maps
 
 from oracles import l1_naive, quantile_naive, ssim_hf_naive, ssim_map_inline, ssim_map_naive
 
@@ -152,22 +153,35 @@ class TestSsimHf:
             SsimParams(sigma=0.0)
 
 
+def check_cutoff(sob):
+    """Check that ``hf_mean``'s cutoff is ``np.quantile(sob, HF_MASK_QUANTILE)``
+    bit for bit, NaN included; returns it."""
+    with np.errstate(invalid="ignore"):
+        cutoff = np.quantile(sob, HF_MASK_QUANTILE)
+        assert np.array_equal(_hf_cutoff(sob), cutoff, equal_nan=True)
+    return cutoff
+
+
 def check_hf_mean(values, ref):
     """Check that ``hf_mean(values, ref)`` is the mean over
     ``sob >= np.quantile(sob, HF_MASK_QUANTILE)`` (the plain mean when the
-    mask is empty) and that the cutoff agrees with ``quantile_naive``;
-    returns the Sobel map and the cutoff."""
+    mask is empty) for ``values`` as given and as float32, Fortran-ordered
+    and strided arrays, that the cutoff is ``np.quantile``'s bits, and that
+    it agrees with ``quantile_naive``; returns the Sobel map and the cutoff."""
     sob = sobel_magnitude(ref)
-    cutoff = np.quantile(sob, HF_MASK_QUANTILE)
+    cutoff = check_cutoff(sob)
     mask = sob >= cutoff
-    assert hf_mean(values, ref) == float(np.mean(values[mask] if mask.any() else values))
+    strided = np.repeat(values, 2, axis=1)[:, ::2]
+    for v in (values, values.astype(np.float32), np.asfortranarray(values), strided):
+        assert hf_mean(v, ref) == float(np.mean(v[mask] if mask.any() else v))
     assert cutoff == pytest.approx(quantile_naive(sob.ravel().tolist(), HF_MASK_QUANTILE), abs=1e-12)
     return sob, cutoff
 
 
 class TestHfCutoff:
-    """``hf_mean`` masks at ``np.quantile(sob, HF_MASK_QUANTILE)``;
-    ``quantile_naive`` checks the value numpy interpolates to."""
+    """``hf_mean`` masks at ``np.quantile(sob, HF_MASK_QUANTILE)``, which
+    ``_hf_cutoff`` takes from one partition; ``quantile_naive`` checks the
+    value numpy interpolates to."""
 
     @pytest.mark.parametrize(
         "shape, position",
@@ -188,9 +202,36 @@ class TestHfCutoff:
     def test_nan_map_gives_nan_and_the_plain_mean(self, rng):
         ref = rng.random((9, 9))
         ref[4, 4] = np.nan
-        assert np.isnan(np.quantile(sobel_magnitude(ref), HF_MASK_QUANTILE))
+        assert np.isnan(check_cutoff(sobel_magnitude(ref)))
         values = rng.random((9, 9))
         assert hf_mean(values, ref) == float(np.mean(values))
+
+    def test_nans_past_the_top_quartile(self, rng):
+        ref = rng.random((12, 12))
+        ref[:, ::2] = np.nan
+        sob = sobel_magnitude(ref)
+        assert np.isnan(sob).mean() > 1.0 - HF_MASK_QUANTILE
+        assert np.isnan(check_cutoff(sob))
+        values = rng.random((12, 12))
+        assert hf_mean(values, ref) == float(np.mean(values))
+
+    def test_inf_in_the_reference(self, rng):
+        ref = rng.random((9, 9))
+        ref[4, 4] = np.inf
+        sob = sobel_magnitude(ref)
+        assert np.isinf(sob).any() and not np.isnan(sob).any()
+        values = rng.random((9, 9))
+        assert hf_mean(values, ref) == float(np.mean(values[sob >= check_cutoff(sob)]))
+
+    @pytest.mark.parametrize("size", [9, 16, 15, 18], ids=["frac0", "frac25", "frac50", "frac75"])
+    def test_inf_at_each_order_statistic(self, rng, size):
+        # an inf above the cutoff's upper order statistic, and infs from it
+        # up, where numpy's interpolation reads NaN at an exact position
+        # (inf * 0) and past the half (inf - inf), and inf between
+        for n_inf in (1, size - int((size - 1) * HF_MASK_QUANTILE) - 1):
+            sob = rng.random(size)
+            sob[rng.permutation(size)[:n_inf]] = np.inf
+            check_cutoff(sob)
 
     def test_frozen_final_images(self, frozen_corpus):
         for spec in frozen_corpus[:8]:

@@ -242,12 +242,13 @@ class TestStepBuilds:
 
 
 # Largest warm peak of one sample's evaluation over frozen samples 4-11, in
-# MiB, by chosen strategy: skip_3 and none as measured before it was scored
-# through strategies.score_outputs, skip_2 and uncond_3 since the features
-# release the step before the decision step (5.62 and 5.15 MiB before).
-# Without the scorer's releases each bound is exceeded: skip_3 and none peak
-# at 5.65 MiB, skip_2 at 7.00, uncond_3 at 6.15.
-EVALUATE_PEAK_MIB = {"skip_3": 4.97, "skip_2": 5.26, "uncond_3": 4.88, "none": 5.47}
+# MiB, by chosen strategy, since synth_target builds its terms in place
+# (skip_3, uncond_3 and none peaked inside it at 4.87 MiB before, skip_2 at
+# 5.25 elsewhere).  Without the scorer's releases (strategies.score_outputs,
+# and the features releasing the step before the decision step) each bound
+# is exceeded: skip_3 and none peaked at 5.65 MiB, skip_2 at 7.00, uncond_3
+# at 6.15.
+EVALUATE_PEAK_MIB = {"skip_3": 4.28, "skip_2": 5.25, "uncond_3": 4.78, "none": 4.28}
 
 
 @pytest.mark.parametrize("ident", sorted(EVALUATE_PEAK_MIB))
@@ -386,6 +387,18 @@ class TestEvaluate:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_scoring_leaves_numpy_ma_unimported(self):
+        # np.quantile imports numpy.ma; hf_mean's cutoff is one partition
+        proc = run_evaluate_script(
+            "import sys\n"
+            "from freqskip.frequency import HFParams\n"
+            "from freqskip.pipeline import _evaluate_spec\n"
+            "pcfg = PipelineConfig(hf=HFParams(rho=0.4))\n"
+            "_evaluate_spec(default_corpus(1, seed=0)[0], TraceConfig(seed=0), pcfg, model)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert proc.stdout.split() == ["False"]
 
     def test_id_count_must_match_specs(self):
         with pytest.raises(ValueError, match="1 ids for 3 specs"):
