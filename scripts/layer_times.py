@@ -56,7 +56,7 @@ def clear_memos() -> None:
     image._area_block.cache_clear()
     image._gaussian_band.cache_clear()
     image._bilinear_tables.cache_clear()
-    frequency._hf_mask.cache_clear()
+    frequency._hf_weights.cache_clear()
 
 
 def per_call_ms(fn, calls: int, cold: bool) -> float:

@@ -25,7 +25,7 @@ import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -328,7 +328,10 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, tcfg: TraceConfig, pc
 # entry point
 # --------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", "-c", help="JSON config file (defaults apply when omitted)")
     common.add_argument("--seed", type=int, help="override config seed")

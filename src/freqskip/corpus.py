@@ -46,8 +46,13 @@ def sample_ids(specs: list[TargetSpec], ids: list[str] | None) -> list[str]:
     return list(ids)
 
 
-# (worker count, pool) of the process's kept pool, or None before its first pooled call
+# (worker count, pool, its workers as forked) of the process's kept pool, or
+# None before its first pooled call
 _kept_pool = None
+
+# seconds between checks for a dead worker while a pooled map runs; the
+# wait ends as soon as the map's results are in
+_WORKER_CHECK_S = 0.1
 
 
 def _drop_kept_pool() -> None:
@@ -63,6 +68,11 @@ def _drop_kept_pool() -> None:
 atexit.register(_drop_kept_pool)
 
 
+def _dead_worker(workers: list):
+    """The first of ``workers`` that has exited, or None."""
+    return next((w for w in workers if w.exitcode is not None), None)
+
+
 def _map_jobs(fn, items: list, jobs: int) -> list:
     """``[fn(item) for item in items]``, in order, on min(``jobs``, CPU count, item count) processes.
 
@@ -71,21 +81,36 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
     while this process waits for their results, so ``jobs=2`` is two
     workers plus a waiting parent.  The pool is forked on the first call
     that needs workers and reused by every later call that needs as many; a
-    call that needs another count replaces it.  Workers therefore see this
-    process as it was when they were forked (cwd, environment, module
-    attributes).  A map that raises terminates the pool, and so does
-    interpreter exit.
+    call that needs another count, or finds one of its workers gone,
+    replaces it.  Workers therefore see this process as it was when they
+    were forked (cwd, environment, module attributes).  A map that raises
+    terminates the pool, and so does interpreter exit.
+
+    A worker that dies during a map (killed, or unable to unpickle its task)
+    takes its task's result with it, so the map would never finish: the
+    pool is terminated instead and ChildProcessError names the worker's
+    exit code.
     """
     global _kept_pool
     jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
-    if _kept_pool is not None and _kept_pool[0] != jobs:
+    if _kept_pool is not None and (_kept_pool[0] != jobs or _dead_worker(_kept_pool[2]) is not None):
         _drop_kept_pool()
     if _kept_pool is None:
-        _kept_pool = (jobs, multiprocessing.Pool(jobs))
+        before = set(multiprocessing.active_children())
+        pool = multiprocessing.Pool(jobs)
+        _kept_pool = (jobs, pool, [p for p in multiprocessing.active_children() if p not in before])
+    _, pool, workers = _kept_pool
     try:
-        return _kept_pool[1].map(fn, items)
+        result = pool.map_async(fn, items)
+        while True:
+            result.wait(_WORKER_CHECK_S)
+            if result.ready():
+                return result.get()
+            dead = _dead_worker(workers)
+            if dead is not None:
+                raise ChildProcessError(f"pool worker {dead.pid} exited with code {dead.exitcode} during a map")
     except BaseException:
         _drop_kept_pool()
         raise

@@ -5,16 +5,19 @@ Two complementary measurements drive acceleration decisions:
 * ``hf_diff``: mean absolute difference between the Sobel gradient-magnitude
   maps of two consecutive decoded images; small values mean the fine detail
   has stabilized between steps.
-* ``hf_ratio``: fraction of total Fourier magnitude outside a centered disc
-  of normalized radius rho in the shifted spectrum; small values mean the
+* ``hf_ratio``: fraction of total Fourier magnitude outside a disc of
+  normalized radius rho centred on the DC bin; small values mean the
   image carries little fine detail to begin with.  The mask radius is a
   setting (:class:`HFParams`); the stabilizer :data:`HF_EPSILON` is not.
 
-The forward transform is numpy's unnormalized 2-D FFT (``np.fft.fft2``),
-which accepts any image size; on the same input it returns bit-identical
-coefficients from call to call.  The ratio's boolean disc mask depends only
-on (height, width, rho), so it is built once per process per key and kept,
-read-only: 16 KB at the default 128 x 128 analysis size.
+:func:`dft2` is numpy's unnormalized 2-D FFT (``np.fft.fft2``), which
+accepts any image size; on the same input it returns bit-identical
+coefficients from call to call.  ``hf_ratio`` reads only the half spectrum
+of its real image (``np.fft.rfft2``, the ``w//2 + 1`` non-redundant
+columns), weighting each column by the number of full-spectrum bins it
+stands for.  Those weights depend only on (height, width, rho), so they are
+built once per process per key and kept, read-only: 66 KB at the default
+128 x 128 analysis size.
 """
 
 from __future__ import annotations
@@ -107,27 +110,47 @@ def dft2(img: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hf_mask(h: int, w: int, rho: float) -> np.ndarray:
-    """Bins of a shifted h x w spectrum farther than rho * min(h, w)/2 from
-    the DC bin at (h//2, w//2).  Built once per process and (h, w, rho), and
-    read-only."""
+def _hf_weights(h: int, w: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the ``rfft2`` half spectrum of a real h x w image: each
+    column's multiplicity, shape (w//2 + 1,), and, shape (h, w//2 + 1), that
+    multiplicity on the bins farther than rho * min(h, w)/2 from DC and 0 on
+    the rest.
+
+    A column stands for itself and its conjugate column, so it counts twice,
+    except column 0 and, at even width, the Nyquist column, which hold their
+    own conjugates.  The disc is the one of the shifted full spectrum, centred
+    on (h//2, w//2), moved back to unshifted order; it is point-symmetric,
+    Nyquist row and column included, so every bin and its conjugate fall on
+    the same side.  Built once per process and (h, w, rho), and read-only.
+    """
+    cols = w // 2 + 1
+    mult = np.full(cols, 2.0)
+    mult[0] = 1.0
+    if w % 2 == 0:
+        mult[-1] = 1.0
     yy = np.arange(h)[:, None] - h // 2
     xx = np.arange(w)[None, :] - w // 2
-    mask = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho
-    mask.flags.writeable = False
-    return mask
+    outside = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho
+    high = np.fft.ifftshift(outside)[:, :cols] * mult
+    mult.flags.writeable = False
+    high.flags.writeable = False
+    return mult, high
 
 
 def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     """Share of spectral magnitude beyond normalized radius rho.
 
     ratio = sum_{bins outside the disc} |F| / (sum over all bins |F| + HF_EPSILON)
-    computed on the shifted spectrum; always in [0, 1).
+
+    over the bins of the full spectrum, the disc centred on DC; always in
+    [0, 1).  Both sums are taken over the half spectrum, each bin weighted
+    by its multiplicity (:func:`_hf_weights`), so they equal the full-plane
+    sums up to rounding.
     """
     arr = require_gray(img)
     h, w = arr.shape
-    # the shift only permutes bins, so taking |F| first rolls real values and
-    # leaves every magnitude, and the order of both sums, as they were
-    mag = np.fft.fftshift(np.abs(dft2(arr)))
-    high = mag[_hf_mask(h, w, params.rho)]
-    return float(high.sum() / (mag.sum() + HF_EPSILON))
+    mult, high = _hf_weights(h, w, params.rho)
+    mag = np.abs(np.fft.rfft2(arr))
+    # numpy's own sums, not a BLAS dot, whose bits would follow its thread count
+    total = (mag.sum(axis=0) * mult).sum()
+    return float((mag * high).sum() / (total + HF_EPSILON))

@@ -28,7 +28,8 @@ and rows), ~3.4 MiB traced.
 
 A :class:`StepTrace` is one sample's run: it builds step k on first read,
 holds it until released, and is the one place features, emitted outputs,
-the baseline and labels read their steps from.
+the baseline and labels read their steps from; an output that replaces the
+unconditional branch reads only the conditional one, and builds no step.
 
 Three constants depend on no sample, so each is built once per process
 and kept, read-only, for the life of the process: the perturbation
@@ -285,8 +286,10 @@ class StepTrace:
     until the caller releases it.
 
     Every consumer of a sample (features, emitted outputs, baseline, labels)
-    reads its steps from one trace, so each step it needs is built once.
-    The target must be a 2-D ``full_size`` square.
+    reads its steps from one trace, so each step it needs is built once.  A
+    reader of only a conditional branch (:meth:`cond`) builds no step: that
+    branch needs neither the perturbation nor the combined image.  The
+    target must be a 2-D ``full_size`` square.
     """
 
     def __init__(self, target: np.ndarray, config: TraceConfig) -> None:
@@ -304,6 +307,18 @@ class StepTrace:
         if rec is None:
             rec = self._built[k] = step_images(self.target, self.config, k)
         return rec
+
+    def cond(self, k: int) -> np.ndarray:
+        """Step k's conditional branch: the held record's when step k is
+        built, else ``resize_area(target, r_k, r_k)``, the same bits, with no
+        record built or held."""
+        rec = self._built.get(k)
+        if rec is not None:
+            return rec.cond
+        if not 1 <= k <= self.config.steps:
+            raise ValueError(f"step {k} out of range 1..{self.config.steps}")
+        r = self.config.schedule[k - 1]
+        return resize_area(self.target, r, r)
 
     def release(self, k: int) -> None:
         """Drop step k; a later read rebuilds it."""
@@ -326,9 +341,9 @@ def decode_final(trace: StepTrace, stop_step: int, replaced: bool = False) -> np
     The emitted image is the stop step's combined image, or its clipped
     conditional branch when the unconditional branch is ``replaced``,
     bilinear-upsampled to full size; at stop_step = K it already is that
-    size and is returned as it is.
+    size and is returned as it is.  A replaced output reads
+    :meth:`StepTrace.cond`, so it builds no step the trace does not hold.
     """
-    rec = trace.step(stop_step)
-    out = np.clip(rec.cond, 0.0, 1.0) if replaced else rec.combined
+    out = np.clip(trace.cond(stop_step), 0.0, 1.0) if replaced else trace.step(stop_step).combined
     size = trace.config.full_size
     return resize_bilinear(out, size, size)

@@ -7,6 +7,9 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -676,8 +679,10 @@ class TestJobsFlag:
             def __init__(self, processes):
                 sizes.append(processes)
 
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+            def map_async(self, fn, items):
+                # the result of a map that has already finished
+                results = [fn(item) for item in items]
+                return types.SimpleNamespace(wait=lambda timeout: None, ready=lambda: True, get=lambda: results)
 
         # an empty kept-pool slot, restored after the test: the fake is
         # started here and never outlives the test
@@ -713,6 +718,83 @@ class TestJobsFlag:
 
 def worker_pid(_item):
     return os.getpid()
+
+
+# Runs in a child process, so a pool that hangs is killed by the timeout
+# and not left behind in the test process.
+DEAD_WORKER_SCRIPT = """
+import os, time
+from freqskip import corpus
+
+os.cpu_count = lambda: 2
+
+
+def exit_on_seven(item):
+    if item == 7:
+        os._exit(7)
+    return item
+
+
+def same(item):
+    return item
+
+
+t0 = time.perf_counter()
+try:
+    corpus._map_jobs(exit_on_seven, list(range(16)), 2)
+except ChildProcessError as exc:
+    assert "code 7" in str(exc), exc
+else:
+    raise AssertionError("a map with a dead worker returned")
+assert corpus._kept_pool is None
+print(f"detected in {time.perf_counter() - t0:.2f} s")
+assert corpus._map_jobs(same, list(range(8)), 2) == list(range(8))
+fresh = corpus._kept_pool[1]
+
+
+def defined_after_the_fork(item):
+    return item
+
+
+try:
+    corpus._map_jobs(defined_after_the_fork, list(range(8)), 2)
+except ChildProcessError as exc:
+    assert "code 1" in str(exc), exc
+else:
+    raise AssertionError("a map of a function the workers cannot unpickle returned")
+assert corpus._map_jobs(defined_after_the_fork, list(range(8)), 2) == list(range(8))
+assert corpus._kept_pool[1] is not fresh
+print("ok")
+"""
+
+
+def test_dead_pool_worker_fails_the_map():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+    assert float(done.stdout.split()[2]) < 5.0
+
+
+def test_dead_pool_worker_is_exit_3(workspace, tmp_path, monkeypatch, capsys):
+    def dead_worker(fn, items, jobs):
+        raise ChildProcessError("pool worker 1234 exited with code -9 during a map")
+
+    monkeypatch.setattr("freqskip.labeling._map_jobs", dead_worker)
+    out = tmp_path / "labels"
+    assert run_cli("label", "--corpus", str(workspace / "corpus"), "--jobs", "2", "-o", str(out)) == 3
+    assert "code -9" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(tmp_path):
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("corpus", "--corpus-size", "2", "--jobs", "0", "-o", str(tmp_path / "bad"))
+    assert exc.value.code == 2
+    assert run_cli("corpus", "--corpus-size", "2", "-o", str(tmp_path / "corpus")) == 0
+    assert _build_parser.cache_info().misses == 1
 
 
 class TestColorTargets:

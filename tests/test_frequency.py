@@ -168,9 +168,9 @@ def sobel_inline(img):
     return np.sqrt(gx * gx + gy * gy)
 
 
-def hf_ratio_inline(img, rho):
-    """The shifted-spectrum ratio with its mask built in the call, kept to pin
-    hf_ratio's bits."""
+def hf_ratio_shifted(img, rho):
+    """The ratio over the full shifted spectrum, with its disc mask built in
+    the call; hf_ratio's half-spectrum sums equal its sums up to rounding."""
     h, w = img.shape
     mag = np.abs(np.fft.fftshift(np.fft.fft2(img)))
     yy = np.arange(h)[:, None] - h // 2
@@ -179,9 +179,26 @@ def hf_ratio_inline(img, rho):
     return float(mag[dist > rho].sum() / (mag.sum() + HF_EPSILON))
 
 
+def hf_ratio_inline(img, rho):
+    """The half-spectrum ratio with its weights built in the call, kept to
+    pin hf_ratio's bits: the shifted disc moved back to unshifted order and
+    cut to the rfft2 columns, each column counted once for itself and once
+    for its conjugate, except column 0 and an even width's Nyquist column."""
+    h, w = img.shape
+    cols = w // 2 + 1
+    mag = np.abs(np.fft.rfft2(img))
+    yy = np.arange(h)[:, None] - h // 2
+    xx = np.arange(w)[None, :] - w // 2
+    outside = np.fft.ifftshift(np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho)[:, :cols]
+    mult = np.array([1.0 if j == 0 or 2 * j == w else 2.0 for j in range(cols)])
+    total = (mag.sum(axis=0) * mult).sum()
+    return float((mag * (outside * mult)).sum() / (total + HF_EPSILON))
+
+
 class TestBitPins:
     """sobel_magnitude and hf_ratio equal the expressions above bit for bit;
-    the oracle tests' tolerances cannot see a trailing-bit move."""
+    the oracle tests' tolerances cannot see a trailing-bit move.  hf_ratio is
+    also within 1e-13 relative of the full shifted-spectrum expression."""
 
     @pytest.fixture(scope="class")
     def analysis_images(self, frozen_targets):
@@ -199,6 +216,7 @@ class TestBitPins:
             assert np.array_equal(sobel_magnitude(img), sobel_inline(img))
             for rho in (0.25, FROZEN_PIPELINE.hf.rho):
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+                assert hf_ratio(img, HFParams(rho=rho)) == pytest.approx(hf_ratio_shifted(img, rho), rel=1e-13)
 
     @pytest.mark.parametrize(
         "shape", [(7, 12), (12, 7), (127, 128), (128, 127), (3, 3), (33, 20), (63, 64), (65, 129), (129, 65)]
@@ -208,9 +226,16 @@ class TestBitPins:
             img = rng.random(shape)
             assert np.array_equal(sobel_magnitude(img), sobel_inline(img))
             for rho in (0.1, 0.25, 0.4, 0.9):
-                # the first call builds the (h, w, rho) mask, the second reads it
+                # the first call builds the (h, w, rho) weights, the second reads them
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
                 assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+                assert hf_ratio(img, HFParams(rho=rho)) == pytest.approx(hf_ratio_shifted(img, rho), rel=1e-13)
+
+    def test_large_odd_width_matches_full_spectrum(self, rng):
+        img = rng.random((300, 257))
+        for rho in (0.1, 0.25, 0.4, 0.9):
+            assert hf_ratio(img, HFParams(rho=rho)) == hf_ratio_inline(img, rho)
+            assert hf_ratio(img, HFParams(rho=rho)) == pytest.approx(hf_ratio_shifted(img, rho), rel=1e-13)
 
     def test_sobel_map_survives_later_calls(self, rng):
         # the differences live in the thread's workspace; the map is fresh
@@ -222,9 +247,14 @@ class TestBitPins:
         assert np.array_equal(first, kept) and np.array_equal(first, sobel_inline(img))
 
     def test_mask_is_read_only_and_built_once(self):
-        mask = frequency._hf_mask(128, 128, 0.4)
-        assert mask.shape == (128, 128) and mask.nbytes == 16384
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
-        assert frequency._hf_mask(128, 128, 0.4) is mask
-        assert frequency._hf_mask(128, 127, 0.4) is not mask
+        # the disc mask is kept as half-spectrum weights: 0 inside the disc,
+        # the column's multiplicity outside
+        mult, high = frequency._hf_weights(128, 128, 0.4)
+        assert mult.shape == (65,) and high.shape == (128, 65) and high.nbytes == 66560
+        assert mult[0] == mult[-1] == 1.0 and set(mult[1:-1]) == {2.0}
+        for arr in (mult, high):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert frequency._hf_weights(128, 128, 0.4)[1] is high
+        assert frequency._hf_weights(128, 127, 0.4)[1] is not high
+        assert set(frequency._hf_weights(128, 127, 0.4)[0][1:]) == {2.0}

@@ -19,7 +19,7 @@ from freqskip.generator import (
     step_images,
     synth_target,
 )
-from freqskip.image import ImageFormatError, resize_area, save_image
+from freqskip.image import ImageFormatError, resize_area, resize_bilinear, save_image
 from freqskip.metrics import l1_mean, ssim
 
 from oracles import hf_ratio_naive, synth_target_inline
@@ -262,6 +262,32 @@ class TestStepTrace:
         for a, b in ((first.cond, again.cond), (first.uncond, again.uncond), (first.combined, again.combined)):
             assert a is not b and np.array_equal(a, b)
 
+    def test_conditional_branch_builds_no_step_unless_held(self, blob_target, step_builds):
+        cfg = TraceConfig(seed=3)
+        trace = StepTrace(blob_target, cfg)
+        for k in (1, 9, cfg.steps):
+            assert np.array_equal(trace.cond(k), step_images(blob_target, cfg, k).cond)
+        assert step_builds == []
+        held = trace.step(9)
+        assert trace.cond(9) is held.cond and step_builds == [9]
+        assert trace.cond(cfg.steps) is blob_target
+        for k in (0, cfg.steps + 1):
+            with pytest.raises(ValueError):
+                trace.cond(k)
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 11, 12])
+    def test_replaced_output_is_the_clipped_conditional_branch(self, blob_target, step_builds, k):
+        cfg = TraceConfig(seed=3, gap_alpha=0.4)
+        trace = StepTrace(blob_target, cfg)
+        # the clipped branch, upsampled to full size (as it is at step 12)
+        clipped = np.clip(step_images(blob_target, cfg, k).cond, 0.0, 1.0)
+        expected = resize_bilinear(clipped, cfg.full_size, cfg.full_size)
+        assert np.array_equal(decode_final(trace, k, True), expected)
+        assert step_builds == []
+        trace.step(k)
+        assert np.array_equal(decode_final(trace, k, True), expected)
+        assert step_builds == [k]
+
     def test_last_conditional_branch_is_the_target(self, blob_target):
         cfg = TraceConfig(seed=3)
         assert StepTrace(blob_target, cfg).step(cfg.steps).cond is blob_target
@@ -276,7 +302,7 @@ class TestStepTrace:
 
 class TestProcessConstants:
     """The step perturbation, the area-resize period block, the Gaussian
-    filter band, the spectral-ratio mask and the bilinear tables are built
+    filter band, the spectral-ratio weights and the bilinear tables are built
     once per process."""
 
     @staticmethod
@@ -319,18 +345,18 @@ class TestProcessConstants:
         assert block_t.flags.c_contiguous and np.array_equal(block_t, block.T)
         band = image._gaussian_band(1.5, 5)
         assert band.shape == (32, 42)  # 10,752 bytes at SSIM's radius 5
-        mask = frequency._hf_mask(128, 128, 0.4)
-        assert mask.nbytes == 16384
+        mult, mask = frequency._hf_weights(128, 128, 0.4)
+        assert mask.nbytes == 8 * 128 * 65  # the rfft2 half plane
         tables = image._bilinear_tables(160, 160, 256, 256)
         assert sum(t.nbytes for t in tables) == 8 * 2048  # four 256-entry tables per axis
-        for arr in (offset, block, block_t, band, mask, *tables):
+        for arr in (offset, block, block_t, band, mult, mask, *tables):
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert generator._perturbation(0, 0.15, 0.6, 9, 160) is offset
         assert image._area_block(256, 160)[0] is block
         assert image._area_block(256, 160)[1] is block_t
         assert image._gaussian_band(1.5, 5) is band
-        assert frequency._hf_mask(128, 128, 0.4) is mask
+        assert all(a is b for a, b in zip(frequency._hf_weights(128, 128, 0.4), (mult, mask)))
         assert image._bilinear_tables(160, 160, 256, 256) is tables
 
     def test_returned_uncond_is_fresh_and_writable(self, blob_target):
