@@ -16,9 +16,10 @@ the other.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
+import ctypes
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -46,31 +47,40 @@ def sample_ids(specs: list[TargetSpec], ids: list[str] | None) -> list[str]:
     return list(ids)
 
 
-# (worker count, pool, its workers as forked) of the process's kept pool, or
-# None before its first pooled call
+# (worker count, executor) of the process's kept pool, or None before its
+# first pooled call
 _kept_pool = None
 
-# seconds between checks for a dead worker while a pooled map runs; the
-# wait ends as soon as the map's results are in
-_WORKER_CHECK_S = 0.1
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Pool worker initializer: serve blocks up to 4 MiB from the heap and
+    trim it only past 8 MiB free, so each sample reuses the pages the last
+    one freed.
+
+    glibc otherwise raises both thresholds to the largest block freed so
+    far, and a forked worker starts from whatever its parent freed before
+    the fork: with no 1 MiB block freed there, evaluate's workers refaulted
+    ~1.5 MB per sample.  A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 
 
 def _drop_kept_pool() -> None:
-    """Terminate the kept pool, if any; the next pooled call starts a new one."""
+    """Shut the kept pool down, if any; the next pooled call starts a new one."""
     global _kept_pool
     if _kept_pool is not None:
         pool = _kept_pool[1]
         _kept_pool = None
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(_drop_kept_pool)
-
-
-def _dead_worker(workers: list):
-    """The first of ``workers`` that has exited, or None."""
-    return next((w for w in workers if w.exitcode is not None), None)
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
@@ -81,36 +91,28 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
     while this process waits for their results, so ``jobs=2`` is two
     workers plus a waiting parent.  The pool is forked on the first call
     that needs workers and reused by every later call that needs as many; a
-    call that needs another count, or finds one of its workers gone,
-    replaces it.  Workers therefore see this process as it was when they
-    were forked (cwd, environment, module attributes).  A map that raises
-    terminates the pool, and so does interpreter exit.
+    call that needs another count replaces it.  Workers therefore see this
+    process as it was when they were forked (cwd, environment, module
+    attributes).  A map that raises shuts the pool down, and interpreter
+    exit ends its workers.
 
-    A worker that dies during a map (killed, or unable to unpickle its task)
-    takes its task's result with it, so the map would never finish: the
-    pool is terminated instead and ChildProcessError names the worker's
-    exit code.
+    A worker that dies during a map (killed, or unable to unpickle its
+    task) breaks the pool: the map raises ChildProcessError instead of
+    waiting for the lost result, and the next pooled call starts a new pool.
     """
     global _kept_pool
     jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
-    if _kept_pool is not None and (_kept_pool[0] != jobs or _dead_worker(_kept_pool[2]) is not None):
+    if _kept_pool is not None and _kept_pool[0] != jobs:
         _drop_kept_pool()
     if _kept_pool is None:
-        before = set(multiprocessing.active_children())
-        pool = multiprocessing.Pool(jobs)
-        _kept_pool = (jobs, pool, [p for p in multiprocessing.active_children() if p not in before])
-    _, pool, workers = _kept_pool
+        _kept_pool = (jobs, ProcessPoolExecutor(jobs, initializer=_keep_freed_memory))
     try:
-        result = pool.map_async(fn, items)
-        while True:
-            result.wait(_WORKER_CHECK_S)
-            if result.ready():
-                return result.get()
-            dead = _dead_worker(workers)
-            if dead is not None:
-                raise ChildProcessError(f"pool worker {dead.pid} exited with code {dead.exitcode} during a map")
+        return list(_kept_pool[1].map(fn, items))
+    except BrokenProcessPool as exc:
+        _drop_kept_pool()
+        raise ChildProcessError(f"a pool worker died during a map ({exc})") from None
     except BaseException:
         _drop_kept_pool()
         raise

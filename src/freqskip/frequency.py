@@ -15,9 +15,9 @@ accepts any image size; on the same input it returns bit-identical
 coefficients from call to call.  ``hf_ratio`` reads only the half spectrum
 of its real image (``np.fft.rfft2``, the ``w//2 + 1`` non-redundant
 columns), weighting each column by the number of full-spectrum bins it
-stands for.  Those weights depend only on (height, width, rho), so they are
-built once per process per key and kept, read-only: 66 KB at the default
-128 x 128 analysis size.
+stands for.  Those weights and the boolean half-plane disc mask depend only
+on (height, width, rho), so they are built once per process per key and
+kept, read-only: 8.8 KB at the default 128 x 128 analysis size.
 """
 
 from __future__ import annotations
@@ -112,9 +112,8 @@ def dft2(img: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _hf_weights(h: int, w: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights of the ``rfft2`` half spectrum of a real h x w image: each
-    column's multiplicity, shape (w//2 + 1,), and, shape (h, w//2 + 1), that
-    multiplicity on the bins farther than rho * min(h, w)/2 from DC and 0 on
-    the rest.
+    column's multiplicity, shape (w//2 + 1,), and the boolean mask, shape
+    (h, w//2 + 1), of the bins within rho * min(h, w)/2 of DC.
 
     A column stands for itself and its conjugate column, so it counts twice,
     except column 0 and, at even width, the Nyquist column, which hold their
@@ -131,10 +130,10 @@ def _hf_weights(h: int, w: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     yy = np.arange(h)[:, None] - h // 2
     xx = np.arange(w)[None, :] - w // 2
     outside = np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho
-    high = np.fft.ifftshift(outside)[:, :cols] * mult
+    inside = ~np.fft.ifftshift(outside)[:, :cols]
     mult.flags.writeable = False
-    high.flags.writeable = False
-    return mult, high
+    inside.flags.writeable = False
+    return mult, inside
 
 
 def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
@@ -143,14 +142,15 @@ def hf_ratio(img: np.ndarray, params: HFParams = HFParams()) -> float:
     ratio = sum_{bins outside the disc} |F| / (sum over all bins |F| + HF_EPSILON)
 
     over the bins of the full spectrum, the disc centred on DC; always in
-    [0, 1).  Both sums are taken over the half spectrum, each bin weighted
-    by its multiplicity (:func:`_hf_weights`), so they equal the full-plane
-    sums up to rounding.
+    [0, 1).  Both sums are taken over the half spectrum: per column, then
+    weighted by the column's multiplicity (:func:`_hf_weights`), so they
+    equal the full-plane sums up to rounding.
     """
     arr = require_gray(img)
     h, w = arr.shape
-    mult, high = _hf_weights(h, w, params.rho)
+    mult, inside = _hf_weights(h, w, params.rho)
     mag = np.abs(np.fft.rfft2(arr))
     # numpy's own sums, not a BLAS dot, whose bits would follow its thread count
     total = (mag.sum(axis=0) * mult).sum()
-    return float((mag * high).sum() / (total + HF_EPSILON))
+    np.copyto(mag, 0.0, where=inside)
+    return float((mag.sum(axis=0) * mult).sum() / (total + HF_EPSILON))

@@ -262,16 +262,22 @@ class StepRecord(NamedTuple):
     combined: np.ndarray
 
 
+def _cond_branch(target: np.ndarray, cfg: TraceConfig, k: int) -> np.ndarray:
+    """Step k's conditional branch (1-based): the target area-resampled to
+    the step's resolution."""
+    if not 1 <= k <= cfg.steps:
+        raise ValueError(f"step {k} out of range 1..{cfg.steps}")
+    r = cfg.schedule[k - 1]
+    return resize_area(target, r, r)
+
+
 def step_images(target: np.ndarray, cfg: TraceConfig, k: int) -> StepRecord:
     """Conditional, unconditional, and combined images for step k (1-based).
 
     The combined image is clamped to [0, 1]; the branches are not.
     """
-    if not 1 <= k <= cfg.steps:
-        raise ValueError(f"step {k} out of range 1..{cfg.steps}")
-    r = cfg.schedule[k - 1]
-    cond = resize_area(target, r, r)
-    uncond = cond + _perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, k, r)
+    cond = _cond_branch(target, cfg, k)
+    uncond = cond + _perturbation(cfg.seed, cfg.gap_alpha, cfg.gap_gamma, k, cond.shape[0])
     # uncond + g * (cond - uncond) in one fresh buffer; the sum is commutative,
     # so adding uncond last gives the same bits
     combined = cond - uncond
@@ -310,15 +316,10 @@ class StepTrace:
 
     def cond(self, k: int) -> np.ndarray:
         """Step k's conditional branch: the held record's when step k is
-        built, else ``resize_area(target, r_k, r_k)``, the same bits, with no
-        record built or held."""
+        built, else the same bits from :func:`_cond_branch`, with no record
+        built or held."""
         rec = self._built.get(k)
-        if rec is not None:
-            return rec.cond
-        if not 1 <= k <= self.config.steps:
-            raise ValueError(f"step {k} out of range 1..{self.config.steps}")
-        r = self.config.schedule[k - 1]
-        return resize_area(self.target, r, r)
+        return rec.cond if rec is not None else _cond_branch(self.target, self.config, k)
 
     def release(self, k: int) -> None:
         """Drop step k; a later read rebuilds it."""

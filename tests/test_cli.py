@@ -5,11 +5,12 @@ import json
 import multiprocessing
 import os
 import pathlib
+import platform
 import re
+import resource
 import shutil
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -676,18 +677,16 @@ class TestJobsFlag:
 
         class FakePool:
             # records the requested size and maps in-process; no worker starts
-            def __init__(self, processes):
-                sizes.append(processes)
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
 
-            def map_async(self, fn, items):
-                # the result of a map that has already finished
-                results = [fn(item) for item in items]
-                return types.SimpleNamespace(wait=lambda timeout: None, ready=lambda: True, get=lambda: results)
+            def map(self, fn, items):
+                return map(fn, items)
 
         # an empty kept-pool slot, restored after the test: the fake is
         # started here and never outlives the test
         monkeypatch.setattr("freqskip.corpus._kept_pool", None)
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr("freqskip.corpus.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # more ids than CPUs, so the CPU count is the cap; s0000 and s0002 give two distinct labels
         corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000", "s0001", "s0002", "s0003"])
@@ -695,11 +694,11 @@ class TestJobsFlag:
         assert sizes == [3]
 
     def test_no_pool_for_one_item(self, workspace, tmp_path, monkeypatch):
-        def no_pool(processes):
-            raise AssertionError(f"a {processes}-worker pool was started for one item")
+        def no_pool(max_workers, initializer):
+            raise AssertionError(f"a {max_workers}-worker pool was started for one item")
 
         monkeypatch.setattr("freqskip.corpus._kept_pool", None)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr("freqskip.corpus.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         corpus = small_corpus(workspace, tmp_path / "corpus", ["s0000"])
         argv = ["evaluate", "--model", str(workspace / "model" / "model.json"), "--corpus", str(corpus)]
@@ -715,9 +714,31 @@ class TestJobsFlag:
         assert first and os.getpid() not in first
         assert first | second <= workers
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the workers' heap settings are glibc's")
+    def test_workers_reuse_freed_pages(self, monkeypatch):
+        # a round that frees 4.5 MiB would have glibc's default trim return
+        # the pages, and the next round fault them in again
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for faults in _map_jobs(worker_refaults, [0, 1], 2):
+            assert faults < 2 * ROUND_PAGES, faults
+
 
 def worker_pid(_item):
     return os.getpid()
+
+
+# 4 KiB pages that one round of worker_refaults touches
+ROUND_PAGES = 3 * (3 << 16) * 8 // 4096
+
+
+def worker_refaults(_item):
+    """Minor page faults of ten rounds that each hold three 1.5 MiB arrays,
+    then free them."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        held = [np.ones(3 << 16) for _ in range(3)]
+        del held
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 # Runs in a child process, so a pool that hangs is killed by the timeout
@@ -742,8 +763,8 @@ def same(item):
 t0 = time.perf_counter()
 try:
     corpus._map_jobs(exit_on_seven, list(range(16)), 2)
-except ChildProcessError as exc:
-    assert "code 7" in str(exc), exc
+except ChildProcessError:
+    pass
 else:
     raise AssertionError("a map with a dead worker returned")
 assert corpus._kept_pool is None
@@ -758,8 +779,8 @@ def defined_after_the_fork(item):
 
 try:
     corpus._map_jobs(defined_after_the_fork, list(range(8)), 2)
-except ChildProcessError as exc:
-    assert "code 1" in str(exc), exc
+except ChildProcessError:
+    pass
 else:
     raise AssertionError("a map of a function the workers cannot unpickle returned")
 assert corpus._map_jobs(defined_after_the_fork, list(range(8)), 2) == list(range(8))
@@ -780,12 +801,12 @@ def test_dead_pool_worker_fails_the_map():
 
 def test_dead_pool_worker_is_exit_3(workspace, tmp_path, monkeypatch, capsys):
     def dead_worker(fn, items, jobs):
-        raise ChildProcessError("pool worker 1234 exited with code -9 during a map")
+        raise ChildProcessError("a pool worker died during a map")
 
     monkeypatch.setattr("freqskip.labeling._map_jobs", dead_worker)
     out = tmp_path / "labels"
     assert run_cli("label", "--corpus", str(workspace / "corpus"), "--jobs", "2", "-o", str(out)) == 3
-    assert "code -9" in capsys.readouterr().err
+    assert "a pool worker died" in capsys.readouterr().err
 
 
 def test_parser_is_built_once(tmp_path):

@@ -192,7 +192,7 @@ def hf_ratio_inline(img, rho):
     outside = np.fft.ifftshift(np.sqrt(yy * yy + xx * xx) / (min(h, w) / 2.0) > rho)[:, :cols]
     mult = np.array([1.0 if j == 0 or 2 * j == w else 2.0 for j in range(cols)])
     total = (mag.sum(axis=0) * mult).sum()
-    return float((mag * (outside * mult)).sum() / (total + HF_EPSILON))
+    return float(((mag * outside).sum(axis=0) * mult).sum() / (total + HF_EPSILON))
 
 
 class TestBitPins:
@@ -247,14 +247,15 @@ class TestBitPins:
         assert np.array_equal(first, kept) and np.array_equal(first, sobel_inline(img))
 
     def test_mask_is_read_only_and_built_once(self):
-        # the disc mask is kept as half-spectrum weights: 0 inside the disc,
-        # the column's multiplicity outside
-        mult, high = frequency._hf_weights(128, 128, 0.4)
-        assert mult.shape == (65,) and high.shape == (128, 65) and high.nbytes == 66560
+        # the disc is kept as a boolean mask over the half spectrum, with
+        # each column's multiplicity
+        mult, inside = frequency._hf_weights(128, 128, 0.4)
+        assert mult.shape == (65,) and inside.shape == (128, 65) and inside.nbytes == 8320
         assert mult[0] == mult[-1] == 1.0 and set(mult[1:-1]) == {2.0}
-        for arr in (mult, high):
+        assert inside[0, 0] and inside[-1, 1] and not inside[64, 0] and not inside[0, 64]
+        for arr in (mult, inside):
             with pytest.raises(ValueError):
-                arr[0] = 0.0
-        assert frequency._hf_weights(128, 128, 0.4)[1] is high
-        assert frequency._hf_weights(128, 127, 0.4)[1] is not high
+                arr[0] = 0
+        assert frequency._hf_weights(128, 128, 0.4)[1] is inside
+        assert frequency._hf_weights(128, 127, 0.4)[1] is not inside
         assert set(frequency._hf_weights(128, 127, 0.4)[0][1:]) == {2.0}

@@ -346,7 +346,7 @@ class TestProcessConstants:
         band = image._gaussian_band(1.5, 5)
         assert band.shape == (32, 42)  # 10,752 bytes at SSIM's radius 5
         mult, mask = frequency._hf_weights(128, 128, 0.4)
-        assert mask.nbytes == 8 * 128 * 65  # the rfft2 half plane
+        assert mask.nbytes == 128 * 65  # a boolean rfft2 half plane
         tables = image._bilinear_tables(160, 160, 256, 256)
         assert sum(t.nbytes for t in tables) == 8 * 2048  # four 256-entry tables per axis
         for arr in (offset, block, block_t, band, mult, mask, *tables):
